@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import CoordinateSplit
+from .geometry import CoordinateSplit, _l2
 from .rng import make_rng
 
 
@@ -250,7 +250,7 @@ def concentration_sample_size(d0: int, d1: int, eps: float,
 def _in_region(region: RegionSpec, theta: np.ndarray) -> bool:
     split = region.split
     if split.d0 > 0:
-        if np.linalg.norm(theta[split.S0] - region.center[split.S0]) > region.r0:
+        if _l2(theta[split.S0] - region.center[split.S0]) > region.r0:
             return False
     if split.d1 > 0:
         if np.max(np.abs(theta[split.S1] - region.center[split.S1])) > region.r1:

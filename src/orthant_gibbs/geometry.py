@@ -158,12 +158,13 @@ def build_good_set(theta_hat, split: CoordinateSplit, delta0: float | None,
                    delta1=float(delta1), n=int(n), r0=float(r0), r1=float(r1))
 
 
-def _l2(diff, axis=None):
-    # one summation order shared by membership tests and the projection, so
-    # a projected point can never fail membership by an ulp (BLAS nrm2 and
-    # the vectorized norm round differently)
+def _l2(diff):
+    # the one ball distance for membership tests and the projection, so a
+    # projected point can never fail membership by an ulp. It takes a single
+    # 1-D vector: BLAS nrm2 and a batched np.sum(axis=1) accumulate in other
+    # orders and can land an ulp away from this pairwise 1-D sum
     diff = np.asarray(diff, dtype=float)
-    return np.sqrt(np.sum(diff * diff, axis=axis))
+    return np.sqrt(np.sum(diff * diff))
 
 
 def contains(gs: GoodSet, theta) -> bool:
@@ -191,7 +192,7 @@ def contains_many(gs: GoodSet, thetas) -> np.ndarray:
     ok = np.all(thetas >= 0, axis=1)
     if gs.split.d0 > 0:
         diff = thetas[:, gs.split.S0] - gs.center[gs.split.S0]
-        ok &= _l2(diff, axis=1) <= gs.r0
+        ok &= np.array([_l2(row) for row in diff]) <= gs.r0
     if gs.split.d1 > 0:
         diff = np.abs(thetas[:, gs.split.S1] - gs.center[gs.split.S1])
         ok &= np.max(diff, axis=1) <= gs.r1

@@ -244,8 +244,14 @@ class GmmData:
         return np.array([np.linalg.slogdet(c)[1] for c in self.covariances])
 
     @cached_property
-    def chols(self) -> np.ndarray:
-        return np.stack([np.linalg.cholesky(c) for c in self.covariances])
+    def prec_chols(self) -> np.ndarray:
+        """Lower Cholesky factors W_j of the precisions, W_j W_j' = P_j."""
+        return np.linalg.cholesky(self.precisions)
+
+    @cached_property
+    def whitened(self) -> np.ndarray:
+        """X @ W_j for every component, shape (k, n, m); once per dataset."""
+        return self.X @ self.prec_chols
 
 
 @dataclass(frozen=True)
@@ -327,15 +333,26 @@ def _poisson_hess(data: PoissonData, theta: np.ndarray) -> np.ndarray:
     return -(data.A.T * w) @ data.A / data.n
 
 
-def _gmm_log_components(data: GmmData, mu: np.ndarray) -> np.ndarray:
+def _gmm_residuals(data: GmmData, mu: np.ndarray) -> np.ndarray:
+    """Whitened residuals r_ij = (x_i - mu_j) W_j, shape (k, n, m).
+
+    (x - mu_j)' P_j (x - mu_j) = |r_j|^2 and P_j (x - mu_j) = W_j r_j, so with
+    X @ W_j cached an evaluation costs O(n m + m^2) per component.
+    """
+    return data.whitened - mu[:, None, :] @ data.prec_chols
+
+
+def _gmm_log_components(data: GmmData, resid: np.ndarray) -> np.ndarray:
     """Per-observation log(w_j * N(x_i | mu_j, Sigma_j)), shape (n, k)."""
-    n, k, m = data.n, data.k, data.m
-    out = np.empty((n, k))
-    for j in range(k):
-        diff = data.X - mu[j]
-        quad = np.einsum("nl,lm,nm->n", diff, data.precisions[j], diff)
-        out[:, j] = np.log(data.weights[j]) - 0.5 * (m * _LOG_2PI + data.log_dets[j] + quad)
-    return out
+    quad = np.einsum("knm,knm->kn", resid, resid)  # row dots, no (k, n, m) temporary
+    norm = (data.m * _LOG_2PI + data.log_dets)[:, None]
+    return (np.log(data.weights)[:, None] - 0.5 * (norm + quad)).T
+
+
+def _softmax_rows(logc: np.ndarray) -> np.ndarray:
+    shift = logc.max(axis=1, keepdims=True)
+    w = np.exp(logc - shift)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def gmm_responsibilities(data: GmmData, theta: np.ndarray) -> np.ndarray:
@@ -345,15 +362,12 @@ def gmm_responsibilities(data: GmmData, theta: np.ndarray) -> np.ndarray:
     component densities underflow.
     """
     mu = _as_vector(theta, data.d).reshape(data.k, data.m)
-    logc = _gmm_log_components(data, mu)
-    shift = logc.max(axis=1, keepdims=True)
-    w = np.exp(logc - shift)
-    return w / w.sum(axis=1, keepdims=True)
+    return _softmax_rows(_gmm_log_components(data, _gmm_residuals(data, mu)))
 
 
 def _gmm_loglik(data: GmmData, theta: np.ndarray) -> float:
     mu = theta.reshape(data.k, data.m)
-    logc = _gmm_log_components(data, mu)
+    logc = _gmm_log_components(data, _gmm_residuals(data, mu))
     shift = logc.max(axis=1)
     ll = shift + np.log(np.exp(logc - shift[:, None]).sum(axis=1))
     return float(np.mean(ll))
@@ -361,28 +375,28 @@ def _gmm_loglik(data: GmmData, theta: np.ndarray) -> float:
 
 def _gmm_grad(data: GmmData, theta: np.ndarray) -> np.ndarray:
     mu = theta.reshape(data.k, data.m)
-    gamma = gmm_responsibilities(data, theta)
+    resid = _gmm_residuals(data, mu)
+    gamma = _softmax_rows(_gmm_log_components(data, resid))
     grad = np.empty((data.k, data.m))
     for j in range(data.k):
-        g_j = (data.X - mu[j]) @ data.precisions[j]
-        grad[j] = (gamma[:, j, None] * g_j).sum(axis=0) / data.n
+        grad[j] = (gamma[:, j] @ resid[j]) @ data.prec_chols[j].T / data.n
     return grad.ravel()
 
 
 def _gmm_hess(data: GmmData, theta: np.ndarray) -> np.ndarray:
     mu = theta.reshape(data.k, data.m)
-    gamma = gmm_responsibilities(data, theta)
+    resid = _gmm_residuals(data, mu)
+    gamma = _softmax_rows(_gmm_log_components(data, resid))
     k, m, n = data.k, data.m, data.n
-    g = np.empty((n, k, m))
-    for j in range(k):
-        g[:, j] = (data.X - mu[j]) @ data.precisions[j]
+    # per-observation scores P_j (x_i - mu_j), shape (k, n, m)
+    g = resid @ data.prec_chols.transpose(0, 2, 1)
     H = np.empty((k, k, m, m))
     for j in range(k):
         w_diag = gamma[:, j] * (1.0 - gamma[:, j])
-        H[j, j] = (g[:, j].T * w_diag) @ g[:, j] / n - gamma[:, j].mean() * data.precisions[j]
+        H[j, j] = (g[j].T * w_diag) @ g[j] / n - gamma[:, j].mean() * data.precisions[j]
         for jp in range(j + 1, k):
             w_mix = gamma[:, j] * gamma[:, jp]
-            block = -(g[:, j].T * w_mix) @ g[:, jp] / n
+            block = -(g[j].T * w_mix) @ g[jp] / n
             H[j, jp] = block
             H[jp, j] = block.T
     return H.transpose(0, 2, 1, 3).reshape(k * m, k * m)
@@ -490,7 +504,10 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = 
         chols = np.stack([np.linalg.cholesky(covs[j]) for j in range(k)])
         labels = rng.choice(k, size=n, p=w)
         Z = rng.standard_normal((n, m))
-        X = mu[labels] + np.einsum("nij,nj->ni", chols[labels], Z)
+        X = mu[labels]
+        for j in range(k):
+            rows = labels == j
+            X[rows] += Z[rows] @ chols[j].T
         data = GmmData(X=X, weights=w, covariances=covs)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")

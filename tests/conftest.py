@@ -25,3 +25,15 @@ def gmm_model():
     return models.simulate("gmm", theta_star, 300, seed=7,
                            weights=np.array([0.6, 0.4]),
                            covariances=np.stack([np.eye(2), np.eye(2)]))
+
+
+@pytest.fixture
+def gmm_corr_model():
+    # unequal, correlated covariances: a transposed or misapplied precision
+    # factor passes every identity-covariance test but not this one
+    cov_a = np.array([[1.0, 0.6, 0.2], [0.6, 2.0, -0.5], [0.2, -0.5, 1.5]])
+    cov_b = np.array([[0.5, -0.2, 0.1], [-0.2, 0.8, 0.3], [0.1, 0.3, 1.2]])
+    theta_star = np.array([1.0, 0.5, 2.0, 3.0, 0.0, 1.0])
+    return models.simulate("gmm", theta_star, 300, seed=7,
+                           weights=np.array([0.6, 0.4]),
+                           covariances=np.stack([cov_a, cov_b]))

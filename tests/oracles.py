@@ -61,6 +61,35 @@ def dense_gap_1d(log_density, a, b, m=2000):
     return float(evals[1])
 
 
+def gmm_explicit(X, weights, covariances, mu):
+    """Average gmm log-likelihood with its gradient and Hessian in the
+    stacked means, one observation at a time from the explicit quadratic
+    forms (x - mu_j)' P_j (x - mu_j), P_j = inv(Sigma_j)."""
+    n, m = X.shape
+    k = len(weights)
+    P = [np.linalg.inv(c) for c in covariances]
+    log_dets = [np.linalg.slogdet(c)[1] for c in covariances]
+    val = 0.0
+    grad = np.zeros((k, m))
+    hess = np.zeros((k, m, k, m))
+    for x in X:
+        scores = [P[j] @ (x - mu[j]) for j in range(k)]
+        logc = np.array([np.log(weights[j]) - 0.5 * (m * np.log(2 * np.pi) + log_dets[j]
+                                                     + (x - mu[j]) @ P[j] @ (x - mu[j]))
+                         for j in range(k)])
+        top = logc.max()
+        lse = top + np.log(np.sum(np.exp(logc - top)))
+        gamma = np.exp(logc - lse)
+        val += lse
+        for j in range(k):
+            grad[j] += gamma[j] * scores[j]
+            hess[j, :, j, :] -= gamma[j] * P[j]
+            for jp in range(k):
+                coef = gamma[j] * ((j == jp) - gamma[jp])
+                hess[j, :, jp, :] += coef * np.outer(scores[j], scores[jp])
+    return val / n, grad.ravel() / n, hess.reshape(k * m, k * m) / n
+
+
 def truncated_exponential_mean(rate, L):
     """Mean of Exp(rate) restricted to [0, L]."""
     return 1.0 / rate - L / np.expm1(rate * L)

@@ -144,6 +144,22 @@ def test_project_good_set_lands_inside(seed):
     assert geometry.contains(gs, proj)
 
 
+@given(seed=st.integers(0, 2**32 - 1), d0=st.integers(50, 150))
+@settings(max_examples=10, deadline=None)
+def test_projected_batch_passes_contains_many(seed, d0):
+    # projected points sit on the ball's sphere to the last ulp, so the batch
+    # membership test must reduce each row in the projection's own order
+    rng = np.random.default_rng(seed)
+    theta_hat = np.concatenate([rng.uniform(1.0, 3.0, d0), np.zeros(3)])
+    gs = make_good_set(theta_hat, delta0=3.0, delta1=5.0, n=800)
+    outside = theta_hat + rng.uniform(-0.5, 0.5, size=(500, theta_hat.size))
+    assert not geometry.contains_many(gs, outside).any()
+    proj = np.array([geometry.project_good_set(gs, t) for t in outside])
+    many = geometry.contains_many(gs, proj)
+    assert many.all()
+    np.testing.assert_array_equal(many, [geometry.contains(gs, t) for t in proj])
+
+
 def test_project_good_set_fixes_members():
     gs = make_good_set()
     theta = gs.center.copy()

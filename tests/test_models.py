@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from orthant_gibbs import models
 from orthant_gibbs.errors import ConfigError, DomainError, ShapeError
 
-from oracles import fd_gradient, fd_hessian, rel_err
+from oracles import fd_gradient, fd_hessian, gmm_explicit, rel_err
 
-ALL_MODELS = ["logistic_model", "poisson_model", "gmm_model"]
+ALL_MODELS = ["logistic_model", "poisson_model", "gmm_model", "gmm_corr_model"]
 
 
 def _interior_points(model, n_points, seed):
@@ -64,6 +64,18 @@ def test_poisson_loglik_closed_form():
     model = models.ModelInstance(kind="poisson", data=data)
     expected = -2.0 + 3.0 * np.log(2.0) - np.log(6.0)
     assert models.log_lik(model, np.array([2.0])) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("fixture", ["gmm_model", "gmm_corr_model"])
+def test_gmm_matches_explicit_quadratic_form(fixture, request):
+    model = request.getfixturevalue(fixture)
+    data = model.data
+    for theta in _interior_points(model, 3, seed=2):
+        val, grad, hess = gmm_explicit(data.X, data.weights, data.covariances,
+                                       theta.reshape(data.k, data.m))
+        assert rel_err(models.log_lik(model, theta), val) <= 1e-12
+        assert rel_err(models.grad_log_lik(model, theta), grad) <= 1e-12
+        assert rel_err(models.hess_log_lik(model, theta), hess) <= 1e-12
 
 
 def test_gmm_responsibilities_rows_sum_to_one(gmm_model):
