@@ -176,6 +176,9 @@ def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate):
     else:
         for trial in range(config.n_trials):
             one(trial)
+    # pool threads append in completion order; sort so that the manifest
+    # does not depend on thread timing
+    failures.sort()
     return chains, failures
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -188,9 +188,14 @@ class PoissonData:
     def d(self) -> int:
         return self.A.shape[1]
 
-    @property
+    @cached_property
     def counts(self) -> np.ndarray:
         return np.round(self.T * self.Y)
+
+    @cached_property
+    def log_count_factorials(self) -> np.ndarray:
+        """log(counts!), once per dataset."""
+        return gammaln(self.counts + 1.0)
 
 
 @dataclass(frozen=True)
@@ -286,18 +291,33 @@ class ModelInstance:
 # ---------------------------------------------------------------------------
 
 
-def _logistic_loglik(data: LogisticData, theta: np.ndarray) -> float:
-    eta = data.X @ theta
+# Each kind has one pass over the data that computes what its value, gradient
+# and Hessian share: eta = X theta for logistic, the rates A theta for
+# Poisson, the whitened residuals and log-components for the gmm. The value,
+# gradient and Hessian kernels start from that pass, so a fused value and
+# gradient computes it once.
+
+
+class _Kernel(NamedTuple):
+    shared: Callable  # (data, theta) -> intermediate
+    loglik: Callable  # (data, intermediate) -> float
+    grad: Callable  # (data, intermediate) -> (d,)
+    hess: Callable  # (data, intermediate) -> (d, d)
+
+
+def _logistic_eta(data: LogisticData, theta: np.ndarray) -> np.ndarray:
+    return data.X @ theta
+
+
+def _logistic_loglik(data: LogisticData, eta: np.ndarray) -> float:
     return float(np.mean(data.Y * eta - np.logaddexp(0.0, eta)))
 
 
-def _logistic_grad(data: LogisticData, theta: np.ndarray) -> np.ndarray:
-    eta = data.X @ theta
+def _logistic_grad(data: LogisticData, eta: np.ndarray) -> np.ndarray:
     return data.X.T @ (data.Y - expit(eta)) / data.n
 
 
-def _logistic_hess(data: LogisticData, theta: np.ndarray) -> np.ndarray:
-    eta = data.X @ theta
+def _logistic_hess(data: LogisticData, eta: np.ndarray) -> np.ndarray:
     s = expit(eta)
     w = s * (1.0 - s)
     return -(data.X.T * w) @ data.X / data.n
@@ -310,24 +330,21 @@ def _poisson_rates(data: PoissonData, theta: np.ndarray) -> np.ndarray:
     return rates
 
 
-def _poisson_loglik(data: PoissonData, theta: np.ndarray) -> float:
-    rates = _poisson_rates(data, theta)
+def _poisson_loglik(data: PoissonData, rates: np.ndarray) -> float:
     counts = data.counts
     with np.errstate(divide="ignore", invalid="ignore"):
         log_term = np.where(counts > 0, counts * np.log(np.maximum(data.T * rates, 1e-300)), 0.0)
-    per_obs = -data.T * rates + log_term - gammaln(counts + 1.0)
+    per_obs = -data.T * rates + log_term - data.log_count_factorials
     return float(np.mean(per_obs))
 
 
-def _poisson_grad(data: PoissonData, theta: np.ndarray) -> np.ndarray:
-    rates = _poisson_rates(data, theta)
+def _poisson_grad(data: PoissonData, rates: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(data.Y > 0, data.T * data.Y / rates, 0.0)
     return data.A.T @ (ratio - data.T) / data.n
 
 
-def _poisson_hess(data: PoissonData, theta: np.ndarray) -> np.ndarray:
-    rates = _poisson_rates(data, theta)
+def _poisson_hess(data: PoissonData, rates: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(data.Y > 0, data.T * data.Y / rates**2, 0.0)
     return -(data.A.T * w) @ data.A / data.n
@@ -349,6 +366,12 @@ def _gmm_log_components(data: GmmData, resid: np.ndarray) -> np.ndarray:
     return (np.log(data.weights)[:, None] - 0.5 * (norm + quad)).T
 
 
+def _gmm_pass(data: GmmData, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened residuals and log-components at the stacked means ``theta``."""
+    resid = _gmm_residuals(data, theta.reshape(data.k, data.m))
+    return resid, _gmm_log_components(data, resid)
+
+
 def _softmax_rows(logc: np.ndarray) -> np.ndarray:
     shift = logc.max(axis=1, keepdims=True)
     w = np.exp(logc - shift)
@@ -361,32 +384,28 @@ def gmm_responsibilities(data: GmmData, theta: np.ndarray) -> np.ndarray:
     Computed in log space with a max shift, so rows sum to one even when the
     component densities underflow.
     """
-    mu = _as_vector(theta, data.d).reshape(data.k, data.m)
-    return _softmax_rows(_gmm_log_components(data, _gmm_residuals(data, mu)))
+    return _softmax_rows(_gmm_pass(data, _as_vector(theta, data.d))[1])
 
 
-def _gmm_loglik(data: GmmData, theta: np.ndarray) -> float:
-    mu = theta.reshape(data.k, data.m)
-    logc = _gmm_log_components(data, _gmm_residuals(data, mu))
+def _gmm_loglik(data: GmmData, shared) -> float:
+    logc = shared[1]
     shift = logc.max(axis=1)
     ll = shift + np.log(np.exp(logc - shift[:, None]).sum(axis=1))
     return float(np.mean(ll))
 
 
-def _gmm_grad(data: GmmData, theta: np.ndarray) -> np.ndarray:
-    mu = theta.reshape(data.k, data.m)
-    resid = _gmm_residuals(data, mu)
-    gamma = _softmax_rows(_gmm_log_components(data, resid))
+def _gmm_grad(data: GmmData, shared) -> np.ndarray:
+    resid, logc = shared
+    gamma = _softmax_rows(logc)
     grad = np.empty((data.k, data.m))
     for j in range(data.k):
         grad[j] = (gamma[:, j] @ resid[j]) @ data.prec_chols[j].T / data.n
     return grad.ravel()
 
 
-def _gmm_hess(data: GmmData, theta: np.ndarray) -> np.ndarray:
-    mu = theta.reshape(data.k, data.m)
-    resid = _gmm_residuals(data, mu)
-    gamma = _softmax_rows(_gmm_log_components(data, resid))
+def _gmm_hess(data: GmmData, shared) -> np.ndarray:
+    resid, logc = shared
+    gamma = _softmax_rows(logc)
     k, m, n = data.k, data.m, data.n
     # per-observation scores P_j (x_i - mu_j), shape (k, n, m)
     g = resid @ data.prec_chols.transpose(0, 2, 1)
@@ -402,27 +421,34 @@ def _gmm_hess(data: GmmData, theta: np.ndarray) -> np.ndarray:
     return H.transpose(0, 2, 1, 3).reshape(k * m, k * m)
 
 
-_LOGLIK = {"logistic": _logistic_loglik, "poisson": _poisson_loglik, "gmm": _gmm_loglik}
-_GRAD = {"logistic": _logistic_grad, "poisson": _poisson_grad, "gmm": _gmm_grad}
-_HESS = {"logistic": _logistic_hess, "poisson": _poisson_hess, "gmm": _gmm_hess}
+_KERNELS = {
+    "logistic": _Kernel(_logistic_eta, _logistic_loglik, _logistic_grad, _logistic_hess),
+    "poisson": _Kernel(_poisson_rates, _poisson_loglik, _poisson_grad, _poisson_hess),
+    "gmm": _Kernel(_gmm_pass, _gmm_loglik, _gmm_grad, _gmm_hess),
+}
+
+
+def _shared_pass(model: ModelInstance, theta) -> tuple[_Kernel, object]:
+    kernel = _KERNELS[model.kind]
+    return kernel, kernel.shared(model.data, _as_vector(theta, model.d))
 
 
 def log_lik(model: ModelInstance, theta) -> float:
     """Average per-observation log-likelihood at ``theta``."""
-    theta = _as_vector(theta, model.d)
-    return _LOGLIK[model.kind](model.data, theta)
+    kernel, shared = _shared_pass(model, theta)
+    return kernel.loglik(model.data, shared)
 
 
 def grad_log_lik(model: ModelInstance, theta) -> np.ndarray:
     """Gradient of the average log-likelihood (one-sided at the boundary)."""
-    theta = _as_vector(theta, model.d)
-    return _GRAD[model.kind](model.data, theta)
+    kernel, shared = _shared_pass(model, theta)
+    return kernel.grad(model.data, shared)
 
 
 def hess_log_lik(model: ModelInstance, theta) -> np.ndarray:
     """Hessian of the average log-likelihood, exactly symmetrized."""
-    theta = _as_vector(theta, model.d)
-    H = _HESS[model.kind](model.data, theta)
+    kernel, shared = _shared_pass(model, theta)
+    H = kernel.hess(model.data, shared)
     return 0.5 * (H + H.T)
 
 
@@ -447,6 +473,15 @@ def log_posterior_unnorm(model: ModelInstance, theta) -> float:
 
 def grad_log_posterior_unnorm(model: ModelInstance, theta) -> np.ndarray:
     return grad_log_prior(model.prior, theta) + model.n * grad_log_lik(model, theta)
+
+
+def log_posterior_and_grad(model: ModelInstance, theta) -> tuple[float, np.ndarray]:
+    """``log_posterior_unnorm`` and ``grad_log_posterior_unnorm`` from one
+    pass over the data; each is bitwise equal to the separate call."""
+    kernel, shared = _shared_pass(model, theta)
+    value = log_prior(model.prior, theta) + model.n * kernel.loglik(model.data, shared)
+    grad = grad_log_prior(model.prior, theta) + model.n * kernel.grad(model.data, shared)
+    return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,21 @@ from .rng import derive_seed, make_rng
 
 @dataclass(frozen=True)
 class Target:
-    """Generic unnormalized log-density with gradient, for synthetic tests."""
+    """Generic unnormalized log-density with gradient, for synthetic tests.
+
+    ``value_and_grad`` returns both at one state; it defaults to calling
+    ``value`` and then ``grad``.
+    """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     dim: int
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
+
+    def __post_init__(self):
+        if self.value_and_grad is None:
+            object.__setattr__(self, "value_and_grad",
+                               lambda x: (self.value(x), self.grad(x)))
 
 
 def as_target(obj) -> Target:
@@ -44,6 +54,7 @@ def as_target(obj) -> Target:
             value=lambda x: models.log_posterior_unnorm(obj, x),
             grad=lambda x: models.grad_log_posterior_unnorm(obj, x),
             dim=obj.d,
+            value_and_grad=lambda x: models.log_posterior_and_grad(obj, x),
         )
     raise ConfigError(f"cannot interpret {type(obj).__name__} as a sampling target")
 
@@ -139,7 +150,12 @@ def _initial_state(model_or_target, config: SamplerConfig,
 
 
 def run_chain(model_or_target, config: SamplerConfig) -> Chain:
-    """Run projected LMC and keep post-burn-in, thinned states."""
+    """Run projected LMC and keep post-burn-in, thinned states.
+
+    A kept state's log density comes from the fused value-and-gradient call
+    at the next step's drift; only the last kept state, when it is the final
+    state, needs a lone value call.
+    """
     target = as_target(model_or_target)
     project = config.projector()
     rng = make_rng(config.seed, 0x10)
@@ -153,16 +169,23 @@ def run_chain(model_or_target, config: SamplerConfig) -> Chain:
     h = config.step_size
     sqrt2h = math.sqrt(2.0 * h)
     row = 0
+    x_kept = False  # x is samples[row - 1], and its log density is still owed
     t0 = time.perf_counter()
     for k in range(config.n_steps):
-        drift = np.asarray(target.grad(x), dtype=float)
+        if x_kept:
+            log_post[row - 1], drift = target.value_and_grad(x)
+        else:
+            drift = target.grad(x)
+        drift = np.asarray(drift, dtype=float)
         if not np.all(np.isfinite(drift)):
             raise NonFiniteError(f"non-finite drift at step {k}")
         x = project(x + h * drift + sqrt2h * rng.standard_normal(target.dim))
-        if k >= config.burn_in and (k - config.burn_in) % config.thin == 0:
+        x_kept = k >= config.burn_in and (k - config.burn_in) % config.thin == 0
+        if x_kept:
             samples[row] = x
-            log_post[row] = target.value(x)
             row += 1
+    if x_kept:
+        log_post[row - 1] = target.value(x)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return Chain(samples=samples, log_posterior=log_post, config=config,
                  runtime_ms=runtime_ms)

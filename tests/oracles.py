@@ -6,6 +6,11 @@ tensorization checks, and closed-form moments where they exist.
 """
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.stats import norm, rankdata
+
+from orthant_gibbs.errors import (ConfigError, DegenerateChainError,
+                                  NumericalError, ShapeError)
 
 FD_STEP = 1e-5
 
@@ -104,3 +109,69 @@ def ar1_chain(rho, n, seed):
     for k in range(1, n):
         x[k] = rho * x[k - 1] + innov_sd * rng.standard_normal()
     return x
+
+
+def bulk_ess_reference(chains):
+    """Rank-normalized split bulk ESS of one column, one chain at a time with
+    scalar loops: the estimator as first written, kept as the reference for
+    the batched ``diagnostics`` routine. Same truncation, same clip, same
+    errors."""
+    arr = np.asarray(chains, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2:
+        raise ShapeError("chains must be a vector or a (n_chains, n_draws) matrix")
+    if arr.shape[1] < 8:
+        raise ConfigError("each chain must have at least 8 draws")
+    if np.all(arr == arr.flat[0]):
+        raise DegenerateChainError("constant chain has no information")
+
+    half = arr.shape[1] // 2
+    split = np.vstack([arr[:, :half], arr[:, -half:]])
+    ranks = rankdata(split, method="average")
+    z = norm.ppf((ranks - 0.375) / (split.size + 0.25)).reshape(split.shape)
+
+    n_chain, n_draw = z.shape
+    acov = []
+    for c in range(n_chain):
+        x = z[c] - z[c].mean()
+        m = next_fast_len(2 * n_draw)
+        f = rfft(x, m)
+        acov.append(irfft(f * np.conj(f), m)[:n_draw] / n_draw)
+    acov = np.array(acov)
+    chain_mean = z.mean(axis=1)
+    mean_var = float(np.mean(acov[:, 0])) * n_draw / (n_draw - 1.0)
+    var_plus = mean_var * (n_draw - 1.0) / n_draw
+    if n_chain > 1:
+        var_plus += float(np.var(chain_mean, ddof=1))
+    if var_plus == 0.0:
+        raise DegenerateChainError("zero variance after rank normalization")
+
+    rho = np.zeros(n_draw)
+    rho[0] = 1.0
+    rho_even = 1.0
+    rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, 1]))) / var_plus
+    rho[1] = rho_odd
+    # initial positive sequence
+    t = 1
+    while t < n_draw - 2 and (rho_even + rho_odd) >= 0.0:
+        rho_even = 1.0 - (mean_var - float(np.mean(acov[:, t + 1]))) / var_plus
+        rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, t + 2]))) / var_plus
+        rho[t + 1] = rho_even
+        if (rho_even + rho_odd) >= 0.0:
+            rho[t + 2] = rho_odd
+        t += 2
+    max_t = t
+    # initial monotone sequence
+    t = 1
+    while t <= max_t - 2:
+        if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
+            rho[t + 1] = (rho[t - 1] + rho[t]) / 2.0
+            rho[t + 2] = rho[t + 1]
+        t += 2
+    tau = -1.0 + 2.0 * float(np.sum(rho[:max_t])) + float(np.sum(rho[max_t + 1:max_t + 2]))
+    n_total = n_chain * n_draw
+    ess = n_total / tau
+    if not np.isfinite(ess) or ess <= 0:
+        raise NumericalError("ESS computation produced a non-positive value")
+    return min(ess, 1.5 * n_total)

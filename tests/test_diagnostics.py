@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthant_gibbs import diagnostics, geometry
 from orthant_gibbs.errors import ConfigError, DegenerateChainError, RangeError
 
-from oracles import ar1_chain, dense_gap_1d, truncated_exponential_mean
+from oracles import (ar1_chain, bulk_ess_reference, dense_gap_1d,
+                     truncated_exponential_mean)
 
 
 def test_bulk_ess_iid_near_n():
@@ -52,6 +55,47 @@ def test_ess_report_shapes():
     assert "per_coordinate" in report.to_json()
 
 
+def _ar1_columns(seed, n_chains, n_draws, rhos, n_tied):
+    """(n_chains, n_draws, d) AR(1) draws, one coefficient per column; the
+    first ``n_tied`` columns are clipped at 0, an atom of ties like a
+    boundary coordinate's."""
+    rng = np.random.default_rng(seed)
+    draws = np.empty((n_chains, n_draws, len(rhos)))
+    for j, rho in enumerate(rhos):
+        for c in range(n_chains):
+            draws[c, :, j] = ar1_chain(rho, n_draws, int(rng.integers(2**31)))
+    draws[:, :, :n_tied] = np.maximum(draws[:, :, :n_tied], 0.0)
+    return draws
+
+
+@given(seed=st.integers(0, 2**31 - 1), n_chains=st.integers(1, 4),
+       n_draws=st.integers(8, 301),
+       rhos=st.lists(st.floats(-0.9, 0.99), min_size=1, max_size=20),
+       n_tied=st.integers(0, 20))
+@settings(max_examples=60, deadline=None)
+def test_batched_ess_matches_scalar_reference(seed, n_chains, n_draws, rhos, n_tied):
+    draws = _ar1_columns(seed, n_chains, n_draws, rhos, n_tied)
+    trace = np.random.default_rng(seed + 1).standard_normal((n_chains, n_draws))
+    columns = [draws[:, :, j] for j in range(len(rhos))] + [trace]
+    try:
+        expected = [bulk_ess_reference(col) for col in columns]
+    except Exception as exc:  # the batched pass must raise the same type
+        with pytest.raises(type(exc)):
+            diagnostics.ess_report(list(draws), list(trace))
+        return
+    report = diagnostics.ess_report(list(draws), list(trace))
+    got = np.append(report.per_coordinate, report.llr_ess)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert diagnostics.bulk_ess(columns[0]) == pytest.approx(expected[0], rel=1e-12, abs=0)
+
+
+def test_ess_report_constant_column_raises():
+    draws = _ar1_columns(8, 1, 400, [0.5] * 200, 100)
+    draws[:, :, 137] = 0.0  # a coordinate stuck at the boundary
+    with pytest.raises(DegenerateChainError, match="constant chain"):
+        diagnostics.ess_report(list(draws), [np.arange(400.0)])
+
+
 def test_credible_interval_gaussian_quantiles():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(200_000)
@@ -79,6 +123,25 @@ def test_coverage_experiment_counts_hits():
     off = [5.0 + 0.01 * rng.standard_normal((400, 2)) for _ in range(10)]
     report = diagnostics.coverage_experiment(off, theta_star, 0.95, split)
     assert np.all(report.per_coordinate_coverage == 0.0)
+
+
+def test_coverage_experiment_matches_per_column_intervals():
+    rng = np.random.default_rng(9)
+    theta_star = np.array([0.0, 0.3, 1.0, 2.0])
+    split, _ = geometry.split_coordinates(theta_star, 1e-6)
+    # each trial's posterior sits off the truth by a random shift, so some
+    # intervals miss; clipping at 0 puts interval ends exactly on the truth
+    trials = [np.maximum(theta_star + 0.4 * rng.standard_normal(4)
+                         + 0.2 * rng.standard_normal((101, 4)), 0.0)
+              for _ in range(25)]
+    hits = np.zeros(4)
+    for samples in trials:
+        for j in range(4):
+            lo, hi = diagnostics.credible_interval(samples[:, j], 0.9)
+            hits[j] += lo <= theta_star[j] <= hi
+    report = diagnostics.coverage_experiment(trials, theta_star, 0.9, split)
+    np.testing.assert_array_equal(report.per_coordinate_coverage, hits / len(trials))
+    assert 0 < hits.min() and hits.max() < len(trials)
 
 
 def test_estimate_expectation_bounds_and_error_bar():

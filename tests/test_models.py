@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from orthant_gibbs import models
 from orthant_gibbs.errors import ConfigError, DomainError, ShapeError
@@ -64,6 +65,33 @@ def test_poisson_loglik_closed_form():
     model = models.ModelInstance(kind="poisson", data=data)
     expected = -2.0 + 3.0 * np.log(2.0) - np.log(6.0)
     assert models.log_lik(model, np.array([2.0])) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("T", [1.0, 2.5])
+def test_poisson_cached_counts_keep_loglik_bitwise(T):
+    model = models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 200, seed=11, T=T)
+    data = model.data
+    assert data.counts is data.counts  # rounded once per dataset
+    for theta in _interior_points(model, 5, seed=3):
+        # the per-call form: re-round T*Y and recompute log(counts!)
+        rates = data.A @ theta
+        counts = np.round(data.T * data.Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_term = np.where(counts > 0,
+                                counts * np.log(np.maximum(data.T * rates, 1e-300)), 0.0)
+        expected = float(np.mean(-data.T * rates + log_term - gammaln(counts + 1.0)))
+        assert models.log_lik(model, theta) == expected
+
+
+@pytest.mark.parametrize("fixture", ALL_MODELS)
+@pytest.mark.parametrize("prior", [models.Prior.flat(), models.Prior.exponential(1.5)])
+def test_log_posterior_and_grad_is_bitwise_the_separate_calls(fixture, prior, request):
+    from dataclasses import replace
+    model = replace(request.getfixturevalue(fixture), prior=prior)
+    for theta in _interior_points(model, 3, seed=4):
+        value, grad = models.log_posterior_and_grad(model, theta)
+        assert value == models.log_posterior_unnorm(model, theta)
+        np.testing.assert_array_equal(grad, models.grad_log_posterior_unnorm(model, theta))
 
 
 @pytest.mark.parametrize("fixture", ["gmm_model", "gmm_corr_model"])

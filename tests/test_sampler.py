@@ -67,6 +67,35 @@ def test_run_chain_bookkeeping():
     assert thinned.samples.shape == (8, 1)  # ceil(50/7)
 
 
+@pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model", "gmm_model"])
+def test_run_chain_log_posterior_is_bitwise_the_model_value(fixture, request):
+    model = request.getfixturevalue(fixture)
+    for n_steps in (30, 31):  # the last step kept, and not kept
+        config = sampler.SamplerConfig(step_size=1e-3, n_steps=n_steps, burn_in=0,
+                                       thin=3, seed=5)
+        chain = sampler.run_chain(model, config)
+        assert chain.samples.shape[0] == -(-n_steps // 3)
+        for x, log_post in zip(chain.samples, chain.log_posterior):
+            assert log_post == models.log_posterior_unnorm(model, x)
+
+
+def test_target_value_and_grad_defaults_to_value_then_grad():
+    calls = []
+
+    def value(x):
+        calls.append("value")
+        return 1.5
+
+    def grad(x):
+        calls.append("grad")
+        return -x
+
+    target = sampler.Target(value=value, grad=grad, dim=2)
+    fused_value, fused_grad = target.value_and_grad(np.array([1.0, 2.0]))
+    assert fused_value == 1.5 and calls == ["value", "grad"]
+    np.testing.assert_array_equal(fused_grad, [-1.0, -2.0])
+
+
 def test_run_chain_deterministic():
     target = gaussian_target([1.0, 2.0])
     config = sampler.SamplerConfig(step_size=0.01, n_steps=200, burn_in=0,
