@@ -27,6 +27,6 @@ from .models import (GmmData, LogisticData, ModelInstance, ModelTemplate,
                      hess_log_lik, log_lik, log_posterior_unnorm, simulate)
 from .rng import derive_seed, make_rng
 from .sampler import (Chain, SamplerConfig, Target, check_membership,
-                      plmc_step, run_chain, run_trials)
+                      plmc_step, run_chain)
 
 __version__ = "0.1.0"

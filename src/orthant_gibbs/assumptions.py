@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import CoordinateSplit, _l2
+from .geometry import CoordinateSplit, contains
 from .rng import make_rng
 
 
@@ -247,17 +247,6 @@ def concentration_sample_size(d0: int, d1: int, eps: float,
     return math.ceil(cbar4 * d0 * d1 * math.log((d0 + d1) / eps) ** 2)
 
 
-def _in_region(region: RegionSpec, theta: np.ndarray) -> bool:
-    split = region.split
-    if split.d0 > 0:
-        if _l2(theta[split.S0] - region.center[split.S0]) > region.r0:
-            return False
-    if split.d1 > 0:
-        if np.max(np.abs(theta[split.S1] - region.center[split.S1])) > region.r1:
-            return False
-    return True
-
-
 def check_well_separation(model: models.ModelInstance, mode_result, region: RegionSpec,
                           bounds, n_outside_samples: int = 1000,
                           seed: int = 0) -> float:
@@ -279,7 +268,7 @@ def check_well_separation(model: models.ModelInstance, mode_result, region: Regi
     n_outside = 0
     for _ in range(n_outside_samples):
         theta = rng.uniform(lo, hi)
-        if _in_region(region, theta):
+        if contains(region, theta):
             continue
         n_outside += 1
         try:

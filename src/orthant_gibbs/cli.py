@@ -60,14 +60,10 @@ def cmd_simulate(args) -> int:
     theta_star = _parse_vector(args.theta_star)
     kwargs = {}
     if args.model == "gmm":
-        k = args.k
-        if theta_star.size % k != 0:
+        if theta_star.size % args.k != 0:
             raise OrthantGibbsError("theta_star length must be divisible by k")
-        m = theta_star.size // k
-        weights = (_parse_vector(args.weights) if args.weights
-                   else np.asarray(experiments.GMM_WEIGHTS[:k]))
-        kwargs = {"weights": weights / weights.sum(),
-                  "covariances": np.stack([np.eye(m)] * k)}
+        weights = _parse_vector(args.weights) if args.weights else None
+        kwargs = experiments.gmm_mixture(args.k, theta_star.size // args.k, weights)
     template = models.ModelTemplate(kind=args.model, theta_star=theta_star,
                                     n=args.n, **kwargs)
     model = template.simulate(seed)
@@ -92,8 +88,7 @@ def cmd_mode(args) -> int:
         init = (np.asarray(model.theta_star, dtype=float) + 0.1
                 if model.theta_star is not None else np.full(model.d, 0.5))
         result = find_mode_local(model, np.maximum(init, 0.1), tol=args.tol)
-    with open(args.out, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2)
+    result.save(args.out)
     print(f"mode objective {result.objective:.6f}, "
           f"residual {result.grad_norm:.3g}, converged={result.converged}")
     return EXIT_OK
@@ -158,7 +153,7 @@ def _experiment_config(args, study: str) -> experiments.ExperimentConfig:
     overrides.pop("out_dir", None)
     overrides["seed"] = seed
     # flags win over the config file
-    for key in ("n_trials", "n_steps", "burn_in", "jobs"):
+    for key in ("n_trials", "n_steps", "burn_in"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-steps", type=int)
         p.add_argument("--burn-in", type=int)
         p.add_argument("--step", type=float)
-        p.add_argument("--jobs", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default 'out')")
         if study == "coverage":

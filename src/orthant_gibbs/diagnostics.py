@@ -218,6 +218,8 @@ def coverage_experiment(trial_samples: Sequence[np.ndarray], theta_star,
         n_trials += 1
         lo, hi = np.quantile(samples, [(1 - level) / 2, (1 + level) / 2], axis=0)
         hits += (lo <= theta_star) & (theta_star <= hi)
+    if n_trials == 0:
+        raise ConfigError("coverage needs at least one completed trial")
     flags = np.zeros(d, dtype=bool)
     flags[split.S1] = True
     return CoverageReport(per_coordinate_coverage=hits / n_trials,

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +48,6 @@ class ExperimentConfig:
     warm_start: str = "truth"  # "truth" | "mode"
     thin: int = 1
     seed: int = 0
-    jobs: int = 1
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -62,10 +59,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown step_scale {self.step_scale!r}")
         if self.model == "gmm" and self.d % max(self.k, 1) != 0:
             raise ConfigError("gmm requires d divisible by k")
+        if self.n < 1 or self.n_trials < 1:
+            raise ConfigError("n and n_trials must be >= 1")
+        self.sampler_config()  # the sampler's own checks, before any trial runs
 
     @property
     def sampler_step(self) -> float:
         return self.step_size / self.n if self.step_scale == "normalized" else self.step_size
+
+    def sampler_config(self, init=None, seed: int = 0) -> sampler.SamplerConfig:
+        return sampler.SamplerConfig(
+            step_size=self.sampler_step, n_steps=self.n_steps,
+            burn_in=self.burn_in, projection="orthant", init=init,
+            warm_start_scale=1.0, seed=seed, thin=self.thin)
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
@@ -118,15 +124,22 @@ def default_theta_star(config: ExperimentConfig) -> np.ndarray:
     return theta
 
 
+def gmm_mixture(k: int, m: int, weights=None) -> dict:
+    """Template arguments of a k-component gmm in dimension m: the weights
+    (the defaults when none are given), normalized, and identity covariances."""
+    if weights is None:
+        if k > len(GMM_WEIGHTS):
+            raise ConfigError(f"gmm with k={k} needs explicit weights; "
+                              f"default weights exist for k <= {len(GMM_WEIGHTS)}")
+        weights = GMM_WEIGHTS[:k]
+    weights = np.asarray(weights, dtype=float)
+    return {"weights": weights / weights.sum(),
+            "covariances": np.stack([np.eye(m)] * k)}
+
+
 def build_template(config: ExperimentConfig, theta_star=None) -> models.ModelTemplate:
     theta_star = default_theta_star(config) if theta_star is None else np.asarray(theta_star)
-    kwargs = {}
-    if config.model == "gmm":
-        m = config.d // config.k
-        weights = np.asarray(GMM_WEIGHTS[: config.k])
-        weights = weights / weights.sum()
-        kwargs = {"weights": weights,
-                  "covariances": np.stack([np.eye(m)] * config.k)}
+    kwargs = gmm_mixture(config.k, config.d // config.k) if config.model == "gmm" else {}
     return models.ModelTemplate(kind=config.model, theta_star=theta_star,
                                 n=config.n, **kwargs)
 
@@ -152,33 +165,20 @@ def run_trial(config: ExperimentConfig, template: models.ModelTemplate,
     """One seeded trial: simulate, warm start, run the chain."""
     model = template.simulate(derive_seed(config.seed, trial, 0))
     init = _warm_start_point(config, model, derive_seed(config.seed, trial, 2))
-    chain_config = sampler.SamplerConfig(
-        step_size=config.sampler_step, n_steps=config.n_steps,
-        burn_in=config.burn_in, projection="orthant", init=init,
-        warm_start_scale=1.0, seed=derive_seed(config.seed, trial, 1),
-        thin=config.thin)
+    chain_config = config.sampler_config(init, derive_seed(config.seed, trial, 1))
     return sampler.run_chain(model, chain_config)
 
 
 def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate):
+    """Every trial in order. A failed trial is recorded as [trial, repr(exc)]
+    and the remaining trials still run."""
     chains: dict[int, sampler.Chain] = {}
-    failures: list[tuple[int, str]] = []
-
-    def one(trial):
+    failures: list[list] = []
+    for trial in range(config.n_trials):
         try:
             chains[trial] = run_trial(config, template, trial)
         except Exception as exc:  # noqa: BLE001 - recorded in the manifest
-            failures.append((trial, repr(exc)))
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            list(pool.map(one, range(config.n_trials)))
-    else:
-        for trial in range(config.n_trials):
-            one(trial)
-    # pool threads append in completion order; sort so that the manifest
-    # does not depend on thread timing
-    failures.sort()
+            failures.append([trial, repr(exc)])
     return chains, failures
 
 
@@ -237,24 +237,19 @@ def run_coverage_study(config: ExperimentConfig, theta_star=None,
     chains, failures = _run_all_trials(config, template)
 
     split, _ = split_coordinates(template.theta_star, BOUNDARY_SPLIT_TAU)
-    report = diagnostics.coverage_experiment(
-        [chains[t].samples for t in sorted(chains)], template.theta_star,
-        level, split)
-    with open(out / "coverage.csv", "w") as fh:
-        fh.write("coordinate,coverage,is_boundary\n")
-        for j in range(config.d):
-            fh.write(f"{j},{report.per_coordinate_coverage[j]:.6f},"
-                     f"{int(report.boundary_flags[j])}\n")
-    for trial in sorted(chains):
-        chains[trial].export_csv(out / "chains" / f"{trial}.csv")
-    _write_manifest(config, out, failures, time.perf_counter() - t0,
-                    extra={"level": level, "n_completed": len(chains)})
+    try:
+        # raises when every trial failed; the manifest still records why
+        report = diagnostics.coverage_experiment(
+            [chains[t].samples for t in sorted(chains)], template.theta_star,
+            level, split)
+        with open(out / "coverage.csv", "w") as fh:
+            fh.write("coordinate,coverage,is_boundary\n")
+            for j in range(config.d):
+                fh.write(f"{j},{report.per_coordinate_coverage[j]:.6f},"
+                         f"{int(report.boundary_flags[j])}\n")
+        for trial in sorted(chains):
+            chains[trial].export_csv(out / "chains" / f"{trial}.csv")
+    finally:
+        _write_manifest(config, out, failures, time.perf_counter() - t0,
+                        extra={"level": level, "n_completed": len(chains)})
     return out
-
-
-def master_seed(cli_seed: int | None) -> int:
-    """Precedence: ORTHANT_GIBBS_SEED env var, then the flag, then 0."""
-    env = os.environ.get("ORTHANT_GIBBS_SEED")
-    if env is not None:
-        return int(env)
-    return cli_seed if cli_seed is not None else 0

@@ -168,7 +168,11 @@ def _l2(diff):
 
 
 def contains(gs: GoodSet, theta) -> bool:
-    """Closed-set membership with exact comparisons."""
+    """Closed-set membership with exact comparisons.
+
+    Reads only ``center``, ``split``, ``r0`` and ``r1``, so an
+    ``assumptions.RegionSpec`` can stand in for the good set.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != gs.center.shape:
         raise ShapeError("theta dimension does not match the good set")

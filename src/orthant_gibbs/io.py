@@ -9,7 +9,6 @@ which the dataset can be regenerated deterministically.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -26,18 +25,15 @@ def _write_csv(path, header: list[str], rows: np.ndarray) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != len(header):
         raise ShapeError("row width does not match header")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FMT % v for v in row])
+    # CRLF line ends, as the csv module writes them
+    np.savetxt(path, rows, fmt=_FMT, delimiter=",", header=",".join(header),
+               comments="", newline="\r\n")
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        body = np.array([[float(v) for v in row] for row in reader])
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        body = np.loadtxt(fh, delimiter=",", ndmin=2)
     return header, body
 
 

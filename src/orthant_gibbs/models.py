@@ -536,6 +536,8 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = 
         m = d // k
         mu = theta_star.reshape(k, m)
         covs = np.asarray(covariances, dtype=float)
+        if covs.shape != (k, m, m):
+            raise ShapeError(f"covariances have shape {covs.shape}, expected ({k},{m},{m})")
         chols = np.stack([np.linalg.cholesky(covs[j]) for j in range(k)])
         labels = rng.choice(k, size=n, p=w)
         Z = rng.standard_normal((n, m))

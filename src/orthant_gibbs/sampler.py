@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import models
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .geometry import GoodSet, contains_many, project_good_set, project_orthant
-from .rng import derive_seed, make_rng
+from .rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -127,16 +127,15 @@ class Chain:
             json.dump(meta, fh, indent=2)
 
 
-def plmc_step(target, x: np.ndarray, h: float, rng: np.random.Generator,
+def plmc_step(x: np.ndarray, drift, h: float, rng: np.random.Generator,
               projection: Callable[[np.ndarray], np.ndarray] = project_orthant
               ) -> np.ndarray:
-    """One projected Langevin step with per-coordinate noise variance 2h."""
-    target = as_target(target)
-    drift = np.asarray(target.grad(x), dtype=float)
+    """One projected Langevin step from ``x`` with the drift already taken
+    there, and per-coordinate noise variance 2h."""
+    drift = np.asarray(drift, dtype=float)
     if not np.all(np.isfinite(drift)):
-        raise NonFiniteError(f"non-finite drift at state {x!r}")
-    noise = rng.standard_normal(x.shape[0])
-    return projection(x + h * drift + math.sqrt(2.0 * h) * noise)
+        raise NonFiniteError("non-finite drift")
+    return projection(x + h * drift + math.sqrt(2.0 * h) * rng.standard_normal(x.shape[0]))
 
 
 def _initial_state(model_or_target, config: SamplerConfig,
@@ -166,8 +165,6 @@ def run_chain(model_or_target, config: SamplerConfig) -> Chain:
     kept = -(-(config.n_steps - config.burn_in) // config.thin)
     samples = np.empty((kept, target.dim))
     log_post = np.empty(kept)
-    h = config.step_size
-    sqrt2h = math.sqrt(2.0 * h)
     row = 0
     x_kept = False  # x is samples[row - 1], and its log density is still owed
     t0 = time.perf_counter()
@@ -176,10 +173,10 @@ def run_chain(model_or_target, config: SamplerConfig) -> Chain:
             log_post[row - 1], drift = target.value_and_grad(x)
         else:
             drift = target.grad(x)
-        drift = np.asarray(drift, dtype=float)
-        if not np.all(np.isfinite(drift)):
-            raise NonFiniteError(f"non-finite drift at step {k}")
-        x = project(x + h * drift + sqrt2h * rng.standard_normal(target.dim))
+        try:
+            x = plmc_step(x, drift, config.step_size, rng, project)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} at step {k}") from None
         x_kept = k >= config.burn_in and (k - config.burn_in) % config.thin == 0
         if x_kept:
             samples[row] = x
@@ -189,29 +186,6 @@ def run_chain(model_or_target, config: SamplerConfig) -> Chain:
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return Chain(samples=samples, log_posterior=log_post, config=config,
                  runtime_ms=runtime_ms)
-
-
-def run_trials(template: models.ModelTemplate, n_trials: int,
-               config: SamplerConfig, seed: int
-               ) -> tuple[list[Chain], list[tuple[int, Exception]]]:
-    """Independent trials: fresh dataset, warm start, independent chain each.
-
-    Per-trial failures are collected rather than aborting the remaining
-    trials. Returns (chains, failures); a failed trial is absent from
-    ``chains`` and present in ``failures`` as (trial index, exception).
-    """
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    chains: list[Chain] = []
-    failures: list[tuple[int, Exception]] = []
-    for trial in range(n_trials):
-        try:
-            model = template.simulate(derive_seed(seed, trial, 0))
-            trial_config = replace(config, seed=derive_seed(seed, trial, 1))
-            chains.append(run_chain(model, trial_config))
-        except Exception as exc:  # noqa: BLE001 - aggregate per contract
-            failures.append((trial, exc))
-    return chains, failures
 
 
 def check_membership(chain: Chain) -> bool:

@@ -5,6 +5,8 @@ for derivatives, a dense eigensolver on a product discretization for
 tensorization checks, and closed-form moments where they exist.
 """
 
+import csv
+
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.stats import norm, rankdata
@@ -175,3 +177,13 @@ def bulk_ess_reference(chains):
     if not np.isfinite(ess) or ess <= 0:
         raise NumericalError("ESS computation produced a non-positive value")
     return min(ess, 1.5 * n_total)
+
+
+def write_csv_reference(path, header, rows):
+    """The csv-module dataset writer the package used before it wrote with
+    np.savetxt: one csv.writer row per observation, CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
+            writer.writerow(["%.17g" % v for v in row])

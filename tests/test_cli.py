@@ -157,6 +157,28 @@ def test_hard_error_exit_code(tmp_path):
                 "--out", tmp_path / "m.json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ess", "--n-steps", 100, "--burn-in", 100],
+    ["ess", "--step", 0],
+    ["coverage", "--n-trials", 0],
+])
+def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run(argv + ["--model", "logistic", "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_gmm_without_weights_beyond_defaults_exits_2(tmp_path, capsys):
+    assert run(["simulate", "--model", "gmm", "--k", 3, "--n", 50,
+                "--theta-star", "[1,1,1,2,2,2]", "--out", tmp_path / "sim"]) == 2
+    assert "k=3" in capsys.readouterr().err
+    # with weights given, three components simulate
+    assert run(["simulate", "--model", "gmm", "--k", 3, "--n", 50,
+                "--theta-star", "[1,1,1,2,2,2]", "--weights", "[1,1,2]",
+                "--out", tmp_path / "sim"]) == 0
+
+
 def test_preset_pins():
     config = experiments.preset_config("pre_asymptotic", "logistic")
     assert (config.d, config.n, config.n_trials) == (200, 800, 20)

@@ -1,38 +1,72 @@
 import json
-import threading
 
 import numpy as np
+import pytest
 
 from orthant_gibbs import experiments, sampler
+from orthant_gibbs.errors import ConfigError
 
 
-def _failures_written(monkeypatch, tmp_path, jobs):
-    """The manifest's failure list of a 6-trial study in which trials 0 and 3
-    fail; under a thread pool trial 0 fails only after trial 3 has."""
-    trial_3_failed = threading.Event()
+def _config(tmp_path, **overrides):
+    fields = dict(preset="custom", model="logistic", d=3, n=50, n_trials=6,
+                  n_steps=40, burn_in=0, step_size=0.1, step_scale="literal",
+                  out_dir=str(tmp_path))
+    fields.update(overrides)
+    return experiments.ExperimentConfig(**fields)
+
+
+def _fail_trials(monkeypatch, failing):
+    """Replace the trial body: the trials in ``failing`` raise, the others
+    return 40 non-negative draws."""
 
     def fake_trial(config, template, trial):
-        if trial == 0 and threading.current_thread() is not threading.main_thread():
-            assert trial_3_failed.wait(timeout=30)
-        if trial in (0, 3):
-            if trial == 3:
-                trial_3_failed.set()
+        if trial in failing:
             raise RuntimeError(f"trial {trial} failed")
         draws = np.random.default_rng(trial).standard_normal((40, config.d)) ** 2
         return sampler.Chain(samples=draws, log_posterior=-draws.sum(axis=1),
                              config=sampler.SamplerConfig(step_size=0.1, n_steps=40))
 
     monkeypatch.setattr(experiments, "run_trial", fake_trial)
-    config = experiments.ExperimentConfig(
-        preset="custom", model="logistic", d=3, n=50, n_trials=6, n_steps=40,
-        burn_in=0, step_size=0.1, step_scale="literal", jobs=jobs,
-        out_dir=str(tmp_path / f"jobs{jobs}"))
-    out = experiments.run_ess_study(config)
-    return json.loads((out / "manifest.json").read_text())["failures"]
 
 
 def test_manifest_failures_do_not_depend_on_thread_timing(monkeypatch, tmp_path):
-    serial = _failures_written(monkeypatch, tmp_path, jobs=1)
-    pooled = _failures_written(monkeypatch, tmp_path, jobs=2)
-    assert [trial for trial, _ in serial] == [0, 3]
-    assert pooled == serial
+    # one loop, in trial order: failures are written as [trial, repr(exc)]
+    _fail_trials(monkeypatch, (0, 3))
+    out = experiments.run_ess_study(_config(tmp_path))
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [[0, "RuntimeError('trial 0 failed')"],
+                        [3, "RuntimeError('trial 3 failed')"]]
+
+
+def test_coverage_study_with_every_trial_failed_writes_manifest_and_raises(
+        monkeypatch, tmp_path):
+    _fail_trials(monkeypatch, range(3))
+    config = _config(tmp_path, n_trials=3)
+    with pytest.raises(ConfigError, match="at least one completed trial"):
+        experiments.run_coverage_study(config)
+    manifest = json.loads(
+        (tmp_path / config.run_tag() / "manifest.json").read_text())
+    assert [trial for trial, _ in manifest["failures"]] == [0, 1, 2]
+    assert manifest["n_completed"] == 0
+    assert not (tmp_path / config.run_tag() / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_trials": 0},
+    {"n_steps": 100, "burn_in": 100},
+    {"step_size": 0.0},
+    {"thin": 0},
+])
+def test_config_rejects_bad_study_settings(tmp_path, overrides):
+    with pytest.raises(ConfigError):
+        _config(tmp_path, **overrides)
+
+
+def test_gmm_template_needs_weights_beyond_the_defaults(tmp_path):
+    config = _config(tmp_path, model="gmm", d=8, k=4)
+    with pytest.raises(ConfigError, match="k=4"):
+        experiments.run_ess_study(config)
+    assert not (tmp_path / config.run_tag()).exists()  # no trial ran
+    mixture = experiments.gmm_mixture(4, 2, weights=[1.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(mixture["weights"], [0.25] * 4)
+    assert mixture["covariances"].shape == (4, 2, 2)

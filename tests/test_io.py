@@ -6,6 +6,8 @@ import pytest
 from orthant_gibbs import io, models
 from orthant_gibbs.errors import ConfigError
 
+from oracles import write_csv_reference
+
 
 def test_logistic_dataset_roundtrip(tmp_path, logistic_model):
     path = tmp_path / "data.csv"
@@ -37,6 +39,23 @@ def test_gmm_dataset_roundtrip_with_sidecar(tmp_path, gmm_model):
     np.testing.assert_array_equal(again.data.weights, gmm_model.data.weights)
     np.testing.assert_array_equal(again.data.covariances,
                                   gmm_model.data.covariances)
+
+
+@pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model", "gmm_model"])
+def test_dataset_csv_bytes_match_the_csv_module_writer(tmp_path, fixture, request):
+    model = request.getfixturevalue(fixture)
+    data = model.data
+    if model.kind == "gmm":
+        rows = data.X
+        header = [f"x_{j}" for j in range(data.m)]
+    else:
+        rows = np.column_stack([data.X if model.kind == "logistic" else data.A, data.Y])
+        header = [f"x_{j}" for j in range(rows.shape[1] - 1)] + ["y"]
+    io.save_dataset(model, tmp_path / "data.csv")
+    write_csv_reference(tmp_path / "reference.csv", header, rows)
+    written = (tmp_path / "data.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\r\n") == rows.shape[0] + 1
 
 
 def test_model_config_roundtrip(tmp_path):

@@ -148,6 +148,14 @@ def test_simulate_rejects_bad_input():
         models.simulate("poisson", np.zeros(3), 10, seed=0)
 
 
+def test_simulate_gmm_rejects_covariances_of_the_wrong_shape():
+    theta_star = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    with pytest.raises(ShapeError, match="covariances"):  # k=3 weights, 2 covariances
+        models.simulate("gmm", theta_star, 50, seed=0,
+                        weights=np.array([0.5, 0.3, 0.2]),
+                        covariances=np.stack([np.eye(2)] * 2))
+
+
 def test_model_instance_validates_theta_star_shape():
     data = models.LogisticData(X=np.zeros((3, 2)), Y=np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ShapeError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthant_gibbs import geometry, models, sampler
+from orthant_gibbs import experiments, geometry, models, sampler
 from orthant_gibbs.errors import ConfigError, NonFiniteError
 from orthant_gibbs.rng import make_rng
 
@@ -34,16 +34,18 @@ def test_config_validation():
 def test_plmc_step_deterministic_limb():
     target = gaussian_target([2.0, 2.0])
     x = np.array([1.0, 1.0])
-    out = sampler.plmc_step(target, x, 0.25, ZeroNoiseRng())
+    out = sampler.plmc_step(x, target.grad(x), 0.25, ZeroNoiseRng())
     np.testing.assert_allclose(out, x + 0.25 * (np.array([2.0, 2.0]) - x))
     # zero drift at the mode: the step is the identity for interior points
-    out = sampler.plmc_step(target, np.array([2.0, 2.0]), 0.25, ZeroNoiseRng())
+    mode = np.array([2.0, 2.0])
+    out = sampler.plmc_step(mode, target.grad(mode), 0.25, ZeroNoiseRng())
     np.testing.assert_allclose(out, [2.0, 2.0])
 
 
 def test_plmc_step_projects():
     target = gaussian_target([-5.0, 2.0])
-    out = sampler.plmc_step(target, np.array([0.1, 2.0]), 1.0, ZeroNoiseRng())
+    x = np.array([0.1, 2.0])
+    out = sampler.plmc_step(x, target.grad(x), 1.0, ZeroNoiseRng())
     assert out[0] == 0.0  # clamped by the orthant projection
 
 
@@ -51,7 +53,39 @@ def test_plmc_step_rejects_nonfinite_drift():
     bad = sampler.Target(value=lambda x: 0.0,
                          grad=lambda x: np.array([np.nan]), dim=1)
     with pytest.raises(NonFiniteError):
-        sampler.plmc_step(bad, np.array([1.0]), 0.1, ZeroNoiseRng())
+        sampler.plmc_step(np.array([1.0]), bad.grad(np.array([1.0])), 0.1,
+                          ZeroNoiseRng())
+
+
+def test_run_chain_is_a_loop_of_plmc_step():
+    target = gaussian_target([1.0, 0.0, 2.0])
+    config = sampler.SamplerConfig(step_size=0.05, n_steps=40, burn_in=10,
+                                   init=np.array([0.5, 0.5, 0.5]), seed=4,
+                                   thin=3)
+    chain = sampler.run_chain(target, config)
+    rng = make_rng(config.seed, 0x10)
+    x = np.array([0.5, 0.5, 0.5])
+    kept = []
+    for k in range(config.n_steps):
+        x = sampler.plmc_step(x, target.grad(x), config.step_size, rng)
+        if k >= config.burn_in and (k - config.burn_in) % config.thin == 0:
+            kept.append(x)
+    assert np.array_equal(chain.samples, np.array(kept))
+    assert np.array_equal(chain.log_posterior, [target.value(x) for x in kept])
+
+
+def test_run_chain_names_the_step_of_a_nonfinite_drift():
+    calls = []
+
+    def grad(x):  # one call per step; the sixth drift is NaN
+        calls.append(x)
+        return np.array([np.nan if len(calls) == 6 else 0.0])
+
+    bad = sampler.Target(value=lambda x: 0.0, grad=grad, dim=1)
+    config = sampler.SamplerConfig(step_size=0.1, n_steps=20,
+                                   init=np.array([1.0]), seed=0)
+    with pytest.raises(NonFiniteError, match=r"at step 5$"):
+        sampler.run_chain(bad, config)
 
 
 def test_run_chain_bookkeeping():
@@ -169,12 +203,18 @@ def test_run_trials_reduces_and_aggregates():
     template = models.ModelTemplate(kind="logistic",
                                     theta_star=np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
                                     n=50)
-    config = sampler.SamplerConfig(step_size=1e-3, n_steps=200, burn_in=100)
-    chains, failures = sampler.run_trials(template, 20, config, seed=9)
+
+    def config(n_trials):
+        return experiments.ExperimentConfig(
+            preset="custom", model="logistic", d=5, n=50, n_trials=n_trials,
+            n_steps=200, burn_in=100, step_size=1e-3, step_scale="literal",
+            seed=9)
+
+    chains, failures = experiments._run_all_trials(config(20), template)
     assert len(chains) == 20 and not failures
-    assert all(np.all(c.samples >= 0) for c in chains)
-    # single trial matches run_chain on the trial-derived seeds
-    one, _ = sampler.run_trials(template, 1, config, seed=9)
+    assert all(np.all(c.samples >= 0) for c in chains.values())
+    # trial 0 depends only on its trial-derived seeds, not on the trial count
+    one, _ = experiments._run_all_trials(config(1), template)
     np.testing.assert_array_equal(one[0].samples, chains[0].samples)
 
 
