@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, models, sampler
-from .errors import ConfigError
+from .errors import ConfigError, OrthantGibbsError
 from .geometry import split_coordinates
 from .mode import find_mode_global, find_mode_local
 from .rng import derive_seed
@@ -74,7 +74,11 @@ class ExperimentConfig:
             warm_start_scale=1.0, seed=seed, thin=self.thin)
 
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True).encode()
+        """Hash of every field except ``out_dir``: the same study written to
+        two directories has one hash."""
+        fields = asdict(self)
+        del fields["out_dir"]
+        payload = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
     def run_tag(self) -> str:
@@ -206,25 +210,42 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
+def _chain_path(out: Path, trial: int) -> Path:
+    """Where a study writes the kept chain of one trial."""
+    return out / "chains" / f"{trial}.npy"
+
+
 def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
-    """Run trials and write per-coordinate and log-posterior ESS tables."""
+    """Run trials and write per-coordinate and log-posterior ESS tables.
+
+    A trial whose ESS fails is recorded in the manifest's failures like a
+    failed trial; its chain is still written.
+    """
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)
     chains, failures = _run_all_trials(config, template)
 
-    with open(out / "ess_per_coordinate.csv", "w") as coord_fh, \
-            open(out / "llr_ess.csv", "w") as llr_fh:
-        coord_fh.write("trial,coordinate,ess\n")
-        llr_fh.write("trial,ess\n")
-        for trial in sorted(chains):
-            chain = chains[trial]
-            report = diagnostics.ess_report([chain.samples], [chain.log_posterior])
-            for j, ess in enumerate(report.per_coordinate):
-                coord_fh.write(f"{trial},{j},{ess:.6f}\n")
-            llr_fh.write(f"{trial},{report.llr_ess:.6f}\n")
-            chain.export_csv(out / "chains" / f"{trial}.csv")
-    _write_manifest(config, out, failures, time.perf_counter() - t0)
+    try:
+        with open(out / "ess_per_coordinate.csv", "w") as coord_fh, \
+                open(out / "llr_ess.csv", "w") as llr_fh:
+            coord_fh.write("trial,coordinate,ess\n")
+            llr_fh.write("trial,ess\n")
+            for trial in sorted(chains):
+                chain = chains[trial]
+                chain.export_npy(_chain_path(out, trial))
+                try:
+                    report = diagnostics.ess_report([chain.samples],
+                                                    [chain.log_posterior])
+                except OrthantGibbsError as exc:
+                    failures.append([trial, repr(exc)])
+                    continue
+                for j, ess in enumerate(report.per_coordinate):
+                    coord_fh.write(f"{trial},{j},{ess:.6f}\n")
+                llr_fh.write(f"{trial},{report.llr_ess:.6f}\n")
+    finally:
+        failures.sort()
+        _write_manifest(config, out, failures, time.perf_counter() - t0)
     return out
 
 
@@ -248,7 +269,7 @@ def run_coverage_study(config: ExperimentConfig, theta_star=None,
                 fh.write(f"{j},{report.per_coordinate_coverage[j]:.6f},"
                          f"{int(report.boundary_flags[j])}\n")
         for trial in sorted(chains):
-            chains[trial].export_csv(out / "chains" / f"{trial}.csv")
+            chains[trial].export_npy(_chain_path(out, trial))
     finally:
         _write_manifest(config, out, failures, time.perf_counter() - t0,
                         extra={"level": level, "n_completed": len(chains)})

@@ -115,16 +115,30 @@ class Chain:
     def d(self) -> int:
         return self.samples.shape[1]
 
-    def export_csv(self, path) -> None:
-        """One row per kept step, columns theta_0..theta_{d-1}, log_post."""
-        header = ",".join([f"theta_{j}" for j in range(self.d)] + ["log_post"])
-        body = np.column_stack([self.samples, self.log_posterior])
-        np.savetxt(path, body, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
+    def _table(self) -> np.ndarray:
+        """Columns theta_0..theta_{d-1}, log_post; one row per kept step."""
+        return np.column_stack([self.samples, self.log_posterior])
+
+    def _write_meta(self, path) -> None:
         meta = {"config": self.config.to_json(), "seed": self.config.seed,
                 "runtime_ms": self.runtime_ms}
         with open(str(path) + ".meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
+
+    def export_csv(self, path) -> None:
+        """One row per kept step, columns theta_0..theta_{d-1}, log_post."""
+        header = ",".join([f"theta_{j}" for j in range(self.d)] + ["log_post"])
+        np.savetxt(path, self._table(), delimiter=",", header=header,
+                   comments="", fmt="%.17g")
+        self._write_meta(path)
+
+    def export_npy(self, path) -> None:
+        """The CSV's table as one float64 array of shape (kept, d+1), no
+        header, written with ``np.save`` to ``path`` as given; ``np.load``
+        reads it back exactly."""
+        with open(path, "wb") as fh:
+            np.save(fh, self._table())
+        self._write_meta(path)
 
 
 def plmc_step(x: np.ndarray, drift, h: float, rng: np.random.Generator,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orthant_gibbs
 from orthant_gibbs import cli, experiments
 
 
@@ -104,7 +109,7 @@ def test_ess_study_outputs(tmp_path):
     assert llr[0] == "trial,ess" and len(llr) == 3
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["failures"] == [] and "config_hash" in manifest
-    assert (run_dir / "chains" / "0.csv").exists()
+    assert (run_dir / "chains" / "0.npy").exists()
 
 
 def test_coverage_study_outputs(tmp_path):
@@ -119,6 +124,9 @@ def test_coverage_study_outputs(tmp_path):
     assert len(rows) == 11  # d=10
     flags = [row.split(",")[2] for row in rows[1:]]
     assert flags.count("1") == 1  # exactly one boundary coordinate
+    chains = sorted(p.name for p in (out / "asymptotic_logistic_seed3" / "chains").iterdir())
+    assert chains == ["0.npy", "0.npy.meta.json", "1.npy", "1.npy.meta.json"]
+    assert np.load(out / "asymptotic_logistic_seed3" / "chains" / "1.npy").shape == (300, 11)
 
 
 def test_study_rerun_is_byte_identical(tmp_path):
@@ -130,8 +138,18 @@ def test_study_rerun_is_byte_identical(tmp_path):
         assert run(args + ["--out", out]) == 0
         run_dir = out / "asymptotic_logistic_seed8"
         bodies.append(((run_dir / "ess_per_coordinate.csv").read_bytes(),
-                       (run_dir / "chains" / "0.csv").read_bytes()))
+                       (run_dir / "chains" / "0.npy").read_bytes()))
     assert bodies[0] == bodies[1]
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, orthant_gibbs, orthant_gibbs.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    # the same sources as this process, whether installed or on pytest's path
+    env = dict(os.environ, PYTHONPATH=str(Path(orthant_gibbs.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
 
 
 def test_config_file_with_flag_override(tmp_path):

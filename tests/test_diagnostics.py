@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from orthant_gibbs import diagnostics, geometry
-from orthant_gibbs.errors import ConfigError, DegenerateChainError, RangeError
+from orthant_gibbs.errors import (ConfigError, DegenerateChainError, NumericalError,
+                                  RangeError)
 
 from oracles import (ar1_chain, bulk_ess_reference, dense_gap_1d,
                      truncated_exponential_mean)
@@ -93,6 +96,26 @@ def test_ess_report_constant_column_raises():
     draws = _ar1_columns(8, 1, 400, [0.5] * 200, 100)
     draws[:, :, 137] = 0.0  # a coordinate stuck at the boundary
     with pytest.raises(DegenerateChainError, match="constant chain"):
+        diagnostics.ess_report(list(draws), [np.arange(400.0)])
+
+
+# few distinct values, so that rows carry ties, plus NaN
+@given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 40)),
+                  elements=st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.25, np.nan])
+                  | st.floats(-1e3, 1e3)))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_match_rankdata(a):
+    got = diagnostics._average_ranks(a)
+    expected = rankdata(a, axis=1)
+    nan_rows = np.isnan(expected).all(axis=1)
+    assert np.array_equal(np.isnan(got).all(axis=1), nan_rows)
+    assert got[~nan_rows].tobytes() == expected[~nan_rows].tobytes()
+
+
+def test_ess_report_nan_column_raises():
+    draws = _ar1_columns(8, 1, 400, [0.5] * 20, 10)
+    draws[:, 50, 7] = np.nan
+    with pytest.raises(NumericalError):
         diagnostics.ess_report(list(draws), [np.arange(400.0)])
 
 

@@ -38,6 +38,39 @@ def test_manifest_failures_do_not_depend_on_thread_timing(monkeypatch, tmp_path)
                         [3, "RuntimeError('trial 3 failed')"]]
 
 
+def test_ess_failure_of_one_trial_is_recorded_and_the_study_written(
+        monkeypatch, tmp_path):
+    _fail_trials(monkeypatch, (2,))
+    real_trial = experiments.run_trial
+
+    def constant_column(config, template, trial):
+        chain = real_trial(config, template, trial)
+        if trial == 1:
+            chain.samples[:, 1] = 0.0  # a coordinate stuck at the boundary
+        return chain
+
+    monkeypatch.setattr(experiments, "run_trial", constant_column)
+    config = _config(tmp_path, n_trials=4)
+    out = experiments.run_ess_study(config)
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [[1, "DegenerateChainError('constant chain has no information')"],
+                        [2, "RuntimeError('trial 2 failed')"]]
+    rows = (out / "ess_per_coordinate.csv").read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[0]) for row in rows}) == [0, 3]
+    assert len(rows) == 2 * config.d
+    llr = (out / "llr_ess.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in llr] == [0, 3]
+    assert sorted(p.name for p in (out / "chains").glob("*.npy")) == [
+        "0.npy", "1.npy", "3.npy"]
+    assert np.all(np.load(out / "chains" / "1.npy")[:, 1] == 0.0)
+
+
+def test_config_hash_ignores_out_dir(tmp_path):
+    a = _config(tmp_path / "a")
+    assert a.config_hash() == _config(tmp_path / "b").config_hash()
+    assert a.config_hash() != _config(tmp_path / "a", n_steps=41).config_hash()
+
+
 def test_coverage_study_with_every_trial_failed_writes_manifest_and_raises(
         monkeypatch, tmp_path):
     _fail_trials(monkeypatch, range(3))

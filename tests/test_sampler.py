@@ -230,3 +230,19 @@ def test_chain_export_csv(tmp_path):
     body = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(body[:, :2], chain.samples)
     assert (tmp_path / "chain.csv.meta.json").exists()
+
+
+def test_chain_export_npy_roundtrips_bitwise(tmp_path):
+    target = gaussian_target([1.0, 2.0])
+    config = sampler.SamplerConfig(step_size=0.01, n_steps=20, burn_in=10,
+                                   init=np.array([1.0, 1.0]), seed=0)
+    chain = sampler.run_chain(target, config)
+    chain.export_npy(tmp_path / "chain.npy")
+    table = np.load(tmp_path / "chain.npy")
+    assert table.dtype == np.float64 and table.shape == (10, 3)
+    assert table[:, :2].tobytes() == chain.samples.tobytes()
+    assert table[:, 2].tobytes() == chain.log_posterior.tobytes()
+    # both formats write the same sidecar
+    chain.export_csv(tmp_path / "chain.csv")
+    assert ((tmp_path / "chain.npy.meta.json").read_text()
+            == (tmp_path / "chain.csv.meta.json").read_text())
