@@ -102,29 +102,9 @@ def sample_region(region: RegionSpec, rng: np.random.Generator, size: int) -> np
     return np.maximum(out, 0.0)
 
 
-def operator_norm(H: np.ndarray, *, iters: int = 50, tol: float = 1e-8) -> float:
-    """Spectral norm of a symmetric matrix by power iteration.
-
-    Falls back to a dense eigensolve for d <= 200 when the iteration has not
-    settled within ``iters`` steps.
-    """
-    d = H.shape[0]
-    v = np.ones(d) + 1e-3 * np.arange(d)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    est = 0.0
-    for _ in range(iters):
-        w = H @ v
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        v = w / est
-        if abs(est - prev) <= tol * max(1.0, est):
-            return est
-        prev = est
-    if d <= 200:
-        return float(np.max(np.abs(np.linalg.eigvalsh(H))))
-    return est
+def operator_norm(H: np.ndarray) -> float:
+    """Spectral norm of a symmetric matrix: its largest absolute eigenvalue."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(H))))
 
 
 def estimate_constants(model: models.ModelInstance, region: RegionSpec,

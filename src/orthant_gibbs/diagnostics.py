@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import ndtri
 
 from .errors import (ConfigError, DegenerateChainError, NumericalError,
                      RangeError, ShapeError)
@@ -71,6 +70,42 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
+@lru_cache(maxsize=8)
+def _normal_scores(size: int) -> np.ndarray:
+    """Normal quantiles of (r - 3/8)/(size + 1/4) for every average rank r
+    of ``size`` values: r = 1, 1.5, ..., size sits at index 2r - 2.
+
+    Read-only, as the cache hands the same array to every caller.
+    """
+    inv_cdf = statistics.NormalDist().inv_cdf
+    scores = np.array([inv_cdf((0.5 * i + 1.0 - RANK_OFFSET_NUM) / (size + RANK_OFFSET_DEN))
+                       for i in range(2 * size - 1)])
+    scores.setflags(write=False)
+    return scores
+
+
+def _rank_normal_scores(ranks: np.ndarray, size: int) -> np.ndarray:
+    """``_normal_scores`` of each average rank; NaN ranks stay NaN."""
+    nan = np.isnan(ranks)
+    z = _normal_scores(size)[np.where(nan, 0, 2.0 * ranks - 2.0).astype(np.intp)]
+    z[nan] = np.nan
+    return z
+
+
+def _fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= target: a length whose FFT factors
+    into radices 2, 3, 5, 7 and 11."""
+    m = target
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _ess_block(block: np.ndarray) -> np.ndarray:
     """Bulk ESS of each column of a (n_chains, n_draws, n_columns) block."""
     cols = np.moveaxis(block, 2, 0)  # (column, chain, draw)
@@ -82,14 +117,13 @@ def _ess_block(block: np.ndarray) -> np.ndarray:
     split = np.concatenate([cols[:, :, :n], cols[:, :, -n:]], axis=1)
     size = split.shape[1] * n
     ranks = _average_ranks(split.reshape(n_cols, size))
-    z = ndtri((ranks - RANK_OFFSET_NUM) / (size + RANK_OFFSET_DEN))
-    z = z.reshape(split.shape)
+    z = _rank_normal_scores(ranks, size).reshape(split.shape)
 
     # per-chain autocovariance by FFT, averaged over chains
     chain_mean = z.mean(axis=2)
-    m = next_fast_len(2 * n)
-    f = rfft(z - chain_mean[:, :, None], m, axis=2)
-    acov = irfft(f * np.conj(f), m, axis=2)[:, :, :n] / n
+    m = _fast_len(2 * n)
+    f = np.fft.rfft(z - chain_mean[:, :, None], m, axis=2)
+    acov = np.fft.irfft(f * np.conj(f), m, axis=2)[:, :, :n] / n
     mean_acov = acov.mean(axis=1)  # (column, lag)
     mean_var = mean_acov[:, 0] * n / (n - 1.0)
     var_plus = mean_var * (n - 1.0) / n + np.var(chain_mean, axis=1, ddof=1)
@@ -315,6 +349,10 @@ def spectral_gap_1d(log_density: Callable[[np.ndarray], np.ndarray],
     zero-flux (Neumann) outer boundaries; a similarity transform makes the
     matrix symmetric tridiagonal so a standard eigensolver applies.
     """
+    # the only SciPy import of the package, kept here so that importing it
+    # does not load SciPy
+    from scipy.linalg import eigh_tridiagonal
+
     if grid_points < 100:
         raise ConfigError("grid_points must be >= 100")
     if not b > a:

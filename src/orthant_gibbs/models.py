@@ -15,12 +15,12 @@ boundary and are evaluated there as one-sided derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .errors import ConfigError, DomainError, ShapeError
 from .rng import make_rng
@@ -28,6 +28,34 @@ from .rng import make_rng
 KINDS = ("logistic", "poisson", "gmm")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# Stirling series of log Gamma(x) for x >= 13: cephes lgam's coefficients
+# (highest order first) and log(sqrt(2 pi)), so that log(k!) is bitwise
+# equal to scipy.special.gammaln(k + 1)
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(k: float) -> float:
+    """log(k!) of a non-negative integer-valued float, as cephes computes
+    log Gamma(k + 1): the exact factorial below 13, else Stirling."""
+    x = k + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(int(k)))
+    p = 1.0 / (x * x)
+    series = 0.0
+    for c in _STIRLING:
+        series = series * p + c
+    return (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI + series / x
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1/(1 + exp(-x)); exactly 0 and 1 far in the tails."""
+    with np.errstate(over="ignore"):
+        s = np.exp(-x)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def _as_vector(theta, d: int) -> np.ndarray:
@@ -194,8 +222,9 @@ class PoissonData:
 
     @cached_property
     def log_count_factorials(self) -> np.ndarray:
-        """log(counts!), once per dataset."""
-        return gammaln(self.counts + 1.0)
+        """log(counts!), once per dataset and once per distinct count."""
+        values, inverse = np.unique(self.counts, return_inverse=True)
+        return np.array([_log_factorial(k) for k in values.tolist()])[inverse]
 
 
 @dataclass(frozen=True)
@@ -314,11 +343,11 @@ def _logistic_loglik(data: LogisticData, eta: np.ndarray) -> float:
 
 
 def _logistic_grad(data: LogisticData, eta: np.ndarray) -> np.ndarray:
-    return data.X.T @ (data.Y - expit(eta)) / data.n
+    return data.X.T @ (data.Y - _expit(eta)) / data.n
 
 
 def _logistic_hess(data: LogisticData, eta: np.ndarray) -> np.ndarray:
-    s = expit(eta)
+    s = _expit(eta)
     w = s * (1.0 - s)
     return -(data.X.T * w) @ data.X / data.n
 
@@ -510,7 +539,7 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = 
 
     if kind == "logistic":
         X = rng.standard_normal((n, d))
-        Y = (rng.random(n) < expit(X @ theta_star)).astype(float)
+        Y = (rng.random(n) < _expit(X @ theta_star)).astype(float)
         data = LogisticData(X=X, Y=Y)
     elif kind == "poisson":
         if A is None:

@@ -152,6 +152,15 @@ def test_package_import_leaves_scipy_stats_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_scipy():
+    code = ("import sys, orthant_gibbs, orthant_gibbs.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(orthant_gibbs.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
+
+
 def test_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.fft import next_fast_len
+from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from orthant_gibbs import diagnostics, geometry
@@ -110,6 +112,27 @@ def test_average_ranks_match_rankdata(a):
     nan_rows = np.isnan(expected).all(axis=1)
     assert np.array_equal(np.isnan(got).all(axis=1), nan_rows)
     assert got[~nan_rows].tobytes() == expected[~nan_rows].tobytes()
+
+
+@pytest.mark.parametrize("size", [8, 9, 60, 1000, 4001])
+def test_rank_normal_scores_match_ndtri(size):
+    # every average rank of `size` values: 1, 1.5, ..., size
+    grid = np.arange(1.0, size + 0.25, 0.5)
+    rng = np.random.default_rng(size)
+    ties = diagnostics._average_ranks(rng.integers(0, 5, (3, size)).astype(float))
+    for ranks in (grid[None, :], ties):
+        got = diagnostics._rank_normal_scores(ranks, size)
+        want = ndtri((ranks - 0.375) / (size + 0.25))
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+    with_nan = np.vstack([rng.standard_normal(size), rng.standard_normal(size)])
+    with_nan[0, size // 2] = np.nan
+    z = diagnostics._rank_normal_scores(diagnostics._average_ranks(with_nan), size)
+    assert np.all(np.isnan(z[0])) and np.all(np.isfinite(z[1]))
+
+
+def test_fast_len_matches_scipy():
+    assert [diagnostics._fast_len(t) for t in range(1, 10_001)] == \
+        [next_fast_len(t) for t in range(1, 10_001)]
 
 
 def test_ess_report_nan_column_raises():

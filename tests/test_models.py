@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from orthant_gibbs import models
 from orthant_gibbs.errors import ConfigError, DomainError, ShapeError
@@ -81,6 +83,27 @@ def test_poisson_cached_counts_keep_loglik_bitwise(T):
                                 counts * np.log(np.maximum(data.T * rates, 1e-300)), 0.0)
         expected = float(np.mean(-data.T * rates + log_term - gammaln(counts + 1.0)))
         assert models.log_lik(model, theta) == expected
+
+
+def test_log_count_factorials_are_bitwise_gammaln():
+    counts = np.arange(100_001, dtype=float)
+    # shuffled, with repeats, so each entry must come back to its own count
+    Y = np.concatenate([np.random.default_rng(5).permutation(counts), counts[::7]])
+    data = models.PoissonData(A=np.ones((Y.size, 1)), Y=Y)
+    np.testing.assert_array_equal(data.log_count_factorials, gammaln(Y + 1.0))
+
+
+def test_expit_matches_scipy():
+    x = np.linspace(-40.0, 40.0, 1_000_000)
+    got, want = models._expit(x), expit(x)
+    # NumPy's exp may differ from libm's by one ulp; after 1 + exp(-x) and the
+    # reciprocal round on each side, the results differ by at most 3 eps
+    # relative (measured: 2.2 eps, where exp(-x) > 2**53)
+    assert np.all(np.abs(got - want) <= 3 * np.finfo(float).eps * want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tails = models._expit(np.array([-800.0, 800.0, np.nan]))
+    assert tails[0] == 0.0 and tails[1] == 1.0 and np.isnan(tails[2])
 
 
 @pytest.mark.parametrize("fixture", ALL_MODELS)
