@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,16 @@ class GoodSet:
         if center.shape != (self.split.d,):
             raise ShapeError("center length does not match the split dimension")
 
+    # the projection reads these on every sampler step; computed once per set
+    @cached_property
+    def _ball_center(self) -> np.ndarray:
+        return _read_only(self.center[self.split.S0])
+
+    @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        c1 = self.center[self.split.S1]
+        return _read_only(np.maximum(c1 - self.r1, 0.0)), _read_only(c1 + self.r1)
+
     def to_json(self) -> dict:
         return {
             "center": self.center.tolist(),
@@ -158,6 +169,11 @@ def build_good_set(theta_hat, split: CoordinateSplit, delta0: float | None,
                    delta1=float(delta1), n=int(n), r0=float(r0), r1=float(r1))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _l2(diff):
     # the one ball distance for membership tests and the projection, so a
     # projected point can never fail membership by an ulp. It takes a single
@@ -189,7 +205,9 @@ def contains(gs: GoodSet, theta) -> bool:
 
 
 def contains_many(gs: GoodSet, thetas) -> np.ndarray:
-    """Vectorized membership for a (rows x d) sample matrix."""
+    """Vectorized membership for a (rows x d) sample matrix; row by row the
+    same decisions as :func:`contains`, and like it reads only ``center``,
+    ``split``, ``r0`` and ``r1``."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != gs.center.shape[0]:
         raise ShapeError("sample dimension does not match the good set")
@@ -220,7 +238,7 @@ def project_good_set(gs: GoodSet, theta) -> np.ndarray:
         raise ShapeError("theta dimension does not match the good set")
     out = theta.copy()
     if gs.split.d0 > 0:
-        c0 = gs.center[gs.split.S0]
+        c0 = gs._ball_center
         v = theta[gs.split.S0] - c0
         norm = _l2(v)
         if norm > gs.r0:
@@ -236,8 +254,6 @@ def project_good_set(gs: GoodSet, theta) -> np.ndarray:
         else:
             out[gs.split.S0] = np.maximum(c0 + v, 0.0)
     if gs.split.d1 > 0:
-        c1 = gs.center[gs.split.S1]
-        lo = np.maximum(c1 - gs.r1, 0.0)
-        hi = c1 + gs.r1
-        out[gs.split.S1] = np.clip(theta[gs.split.S1], lo, hi)
+        lo, hi = gs._box
+        out[gs.split.S1] = np.minimum(np.maximum(theta[gs.split.S1], lo), hi)
     return out

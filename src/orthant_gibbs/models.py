@@ -58,6 +58,12 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(s, out=s)
 
 
+def _require_finite(**arrays) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{name} must be finite (found NaN or inf)")
+
+
 def _as_vector(theta, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (d,):
@@ -170,6 +176,7 @@ class LogisticData:
         object.__setattr__(self, "Y", Y)
         if X.ndim != 2 or X.shape[0] != Y.shape[0] or X.shape[0] < 1:
             raise ShapeError("X rows and Y entries must match and be >= 1")
+        _require_finite(X=X)
         if not np.all(np.isin(Y, (0.0, 1.0))):
             raise ConfigError("logistic labels must lie in {0, 1}")
 
@@ -196,6 +203,7 @@ class PoissonData:
         object.__setattr__(self, "T", float(self.T))
         if A.ndim != 2 or A.shape[0] != Y.shape[0] or A.shape[0] < 1:
             raise ShapeError("A rows and Y entries must match and be >= 1")
+        _require_finite(A=A, Y=Y, T=self.T)
         if np.any(A < 0):
             raise ConfigError("sensitivity matrix A must be non-negative")
         if self.T <= 0:
@@ -245,6 +253,7 @@ class GmmData:
         k, m = w.shape[0], X.shape[1]
         if covs.shape != (k, m, m):
             raise ShapeError(f"covariances have shape {covs.shape}, expected ({k},{m},{m})")
+        _require_finite(X=X, weights=w, covariances=covs)
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ConfigError("weights must be strictly positive and sum to 1")
         for j in range(k):
@@ -346,10 +355,16 @@ def _logistic_grad(data: LogisticData, eta: np.ndarray) -> np.ndarray:
     return data.X.T @ (data.Y - _expit(eta)) / data.n
 
 
+def _weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """-X' diag(w) X / n for weights w >= 0, as one symmetric rank-n product
+    a'a (BLAS syrk): half the flops of (X' * w) @ X, exactly symmetric."""
+    a = X * np.sqrt(w)[:, None]
+    return -(a.T @ a) / X.shape[0]
+
+
 def _logistic_hess(data: LogisticData, eta: np.ndarray) -> np.ndarray:
     s = _expit(eta)
-    w = s * (1.0 - s)
-    return -(data.X.T * w) @ data.X / data.n
+    return _weighted_gram(data.X, s * (1.0 - s))
 
 
 def _poisson_rates(data: PoissonData, theta: np.ndarray) -> np.ndarray:
@@ -376,7 +391,7 @@ def _poisson_grad(data: PoissonData, rates: np.ndarray) -> np.ndarray:
 def _poisson_hess(data: PoissonData, rates: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(data.Y > 0, data.T * data.Y / rates**2, 0.0)
-    return -(data.A.T * w) @ data.A / data.n
+    return _weighted_gram(data.A, w)
 
 
 def _gmm_residuals(data: GmmData, mu: np.ndarray) -> np.ndarray:
@@ -529,6 +544,7 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = 
     the flattened stack of the k component means.
     """
     theta_star = np.asarray(theta_star, dtype=float)
+    _require_finite(theta_star=theta_star)
     if np.any(theta_star < 0):
         raise ConfigError("theta_star must lie in the non-negative orthant")
     if n < 1:

@@ -6,13 +6,16 @@ tensorization checks, and closed-form moments where they exist.
 """
 
 import csv
+import math
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.stats import norm, rankdata
 
+from orthant_gibbs import assumptions, models
 from orthant_gibbs.errors import (ConfigError, DegenerateChainError,
                                   NumericalError, ShapeError)
+from orthant_gibbs.rng import make_rng
 
 FD_STEP = 1e-5
 
@@ -187,3 +190,39 @@ def write_csv_reference(path, header, rows):
         writer.writerow(header)
         for row in np.atleast_2d(np.asarray(rows, dtype=float)):
             writer.writerow(["%.17g" % v for v in row])
+
+
+def estimate_constants_reference(model, region, *, poincare_factor=4.0):
+    """``assumptions.estimate_constants`` as a per-point scan: both
+    eigensolves at every grid point, no Cholesky certificate. Kept as the
+    reference the certified scan must match bitwise."""
+    rng = make_rng(region.seed, 0xA5)
+    pts = assumptions.sample_region(region, rng, region.grid)
+    split = region.split
+    d0, d1, n = split.d0, split.d1, model.n
+
+    c_s0 = math.inf if d0 > 0 else math.nan
+    c_s1 = math.inf if d1 > 0 else math.nan
+    s2 = 0.0
+    for theta in pts:
+        H = models.hess_log_lik(model, theta)
+        s2 = max(s2, assumptions.operator_norm(H))
+        if d0 > 0:
+            block = H[np.ix_(split.S0, split.S0)]
+            c_s0 = min(c_s0, float(np.linalg.eigvalsh(-block)[0]))
+        if d1 > 0:
+            g = models.grad_log_lik(model, theta)
+            c_s1 = min(c_s1, float(np.min(-g[split.S1])))
+
+    delta0 = region.r0 * math.sqrt(n / d0) if d0 > 0 else 0.0
+    delta1 = region.r1 * n if d1 > 0 else 0.0
+    osc = assumptions.osc_bound(s2, delta0, delta1, d0, d1, n)
+    prior_osc = model.prior.oscillation(region.r1 if d1 > 0 else 0.0)
+    if (d0 > 0 and c_s0 <= 0) or (d1 > 0 and c_s1 <= 0):
+        cpi = math.inf
+    else:
+        cpi = assumptions.poincare_bound(c_s0, c_s1, s2, delta0, delta1, d0, d1, n,
+                                         prior_osc=prior_osc, factor=poincare_factor)
+    return assumptions.AssumptionReport(c_S0_hat=c_s0, C_S1_hat=c_s1, s2_hat=s2,
+                                        osc_bound=osc, C_PI_bound=cpi,
+                                        grid=region.grid, seed=region.seed)

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from orthant_gibbs import assumptions, geometry, models
 from orthant_gibbs.errors import ConfigError
 from orthant_gibbs.mode import find_mode_local
+from orthant_gibbs.rng import make_rng
+
+from oracles import estimate_constants_reference
 
 
 def region_for(model, theta_hat, tau=1e-6, grid=100, seed=0):
@@ -85,6 +88,117 @@ def test_estimate_constants_power_iteration_agrees_with_dense(poisson_model):
         H = models.hess_log_lik(poisson_model, theta)
         dense = float(np.max(np.abs(np.linalg.eigvalsh(H))))
         assert assumptions.operator_norm(H) == pytest.approx(dense, abs=1e-6)
+
+
+def _bits(report):
+    return tuple(float(v).hex() for v in
+                 (report.c_S0_hat, report.C_S1_hat, report.s2_hat,
+                  report.osc_bound, report.C_PI_bound))
+
+
+def _constants_case(case, request):
+    """(model, region) of one estimate_constants case."""
+    if case == "poisson_vacuous":
+        # the fixture of test_estimate_constants_reports_vacuous_bound_when_violated
+        model = models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 400, seed=3)
+        result = find_mode_local(model, np.array([1.1, 0.6, 0.1]), tol=1e-9)
+        return model, region_for(model, result.theta_hat, tau=1e-5, grid=200)
+    if case == "gmm":
+        # a ball wide enough to reach where the mixture Hessian is indefinite
+        model = request.getfixturevalue("gmm_corr_model")
+        split, center = geometry.split_coordinates(model.theta_star, 1e-6)
+        return model, assumptions.RegionSpec(center=center, split=split, r0=1.5,
+                                             r1=0.5, grid=200, seed=1)
+    if case == "d0_zero":
+        model = request.getfixturevalue("logistic_model")
+        split = geometry.CoordinateSplit(S0=np.array([], dtype=int), S1=np.arange(3))
+        return model, assumptions.RegionSpec(center=np.zeros(3), split=split, r0=0.0,
+                                             r1=0.3, grid=200, seed=2)
+    model = request.getfixturevalue(f"{case.split('_')[0]}_model")
+    result = find_mode_local(model, np.ones(3), tol=1e-9)
+    if case == "logistic_d1_zero":
+        split = geometry.CoordinateSplit(S0=np.arange(3), S1=np.array([], dtype=int))
+        center = np.maximum(result.theta_hat, 0.05)
+        return model, assumptions.RegionSpec(center=center, split=split, r0=0.2,
+                                             r1=0.0, grid=200, seed=3)
+    return model, region_for(model, result.theta_hat, grid=200)
+
+
+@pytest.mark.parametrize("case", ["logistic", "poisson", "poisson_vacuous", "gmm",
+                                  "d0_zero", "logistic_d1_zero"])
+def test_estimate_constants_is_bitwise_the_per_point_scan(case, request):
+    model, region = _constants_case(case, request)
+    report = assumptions.estimate_constants(model, region)
+    assert _bits(report) == _bits(estimate_constants_reference(model, region))
+    if case == "poisson_vacuous":
+        assert report.C_S1_hat <= 0 and report.C_PI_bound == math.inf
+    if case == "gmm":
+        assert report.c_S0_hat < 0  # the scan crossed indefinite Hessians
+
+
+def _synthetic_hessians(monkeypatch, region, hessians):
+    """Make hess_log_lik return hessians[i] at the region's i-th grid point."""
+    pts = assumptions.sample_region(region, make_rng(region.seed, 0xA5), region.grid)
+    index = {p.tobytes(): i for i, p in enumerate(pts)}
+    monkeypatch.setattr(models, "hess_log_lik",
+                        lambda model, theta: hessians[index[theta.tobytes()]])
+
+
+def _synthetic_region(d=12, grid=200):
+    split = geometry.CoordinateSplit(S0=np.arange(d - 2), S1=np.arange(d - 2, d))
+    center = np.r_[np.ones(d - 2), 0.0, 0.0]
+    return assumptions.RegionSpec(center=center, split=split, r0=0.3, r1=0.1,
+                                  grid=grid, seed=0)
+
+
+@pytest.mark.parametrize("sequence", ["indefinite", "positive_definite",
+                                      "isospectral", "curvature_shrinks_by_ulps"])
+def test_certificate_matches_scan_on_adversarial_hessians(sequence, monkeypatch):
+    # Indefinite and positive definite Hessians put the extreme eigenvalue on
+    # the side a GLM never reaches, so the certificate must test both
+    # t*I + H and t*I - H. Isospectral Hessians tie the running s2 up to
+    # rounding, and scaling one matrix down by an ulp per point moves c_S0
+    # past the running value by less than Cholesky's backward error: only
+    # the margin sends those points to the eigensolver. (Whether a scan
+    # without the margin trips on them depends on the BLAS's rounding; with
+    # OpenBLAS 0.3.31 it does.)
+    region = _synthetic_region()
+    d, grid = region.center.size, region.grid
+    rng = np.random.default_rng(6)
+    scales = rng.uniform(0.5, 2.0, (grid, 1, 1))
+    if sequence == "indefinite":
+        mats = rng.standard_normal((grid, d, d)) * scales
+        hessians = 0.5 * (mats + mats.transpose(0, 2, 1))
+    elif sequence == "positive_definite":
+        mats = rng.standard_normal((grid, d, d))
+        hessians = mats @ mats.transpose(0, 2, 1) / d * scales
+    elif sequence == "isospectral":
+        spectrum = -np.sort(rng.uniform(0.1, 1.0, d))
+        spectrum[0] = -1.0
+        rotations = np.linalg.qr(rng.standard_normal((grid, d, d)))[0]
+        hessians = (rotations * spectrum) @ rotations.transpose(0, 2, 1)
+    else:
+        a = rng.standard_normal((d, d))
+        base = -(a @ a.T) / d
+        hessians = [base * (1.0 - k * 2.0**-52) for k in range(grid)]
+    model = models.simulate("logistic", region.center, 50, seed=0)
+    _synthetic_hessians(monkeypatch, region, hessians)
+    report = assumptions.estimate_constants(model, region)
+    assert _bits(report) == _bits(estimate_constants_reference(model, region))
+
+
+def test_certificate_skips_most_eigensolves_at_d200(monkeypatch):
+    truth = np.r_[np.ones(4), np.zeros(196)]
+    model = models.simulate("logistic", truth, 800, seed=0)
+    result = find_mode_local(model, truth + 0.1, tol=1e-8)
+    region = region_for(model, result.theta_hat, tau=1e-7, grid=200)
+    assert region.split.d0 > 50
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    assumptions.estimate_constants(model, region)
+    # a per-point scan makes 400 calls (two per point)
+    assert 2 <= len(calls) <= 40
 
 
 def test_decomposition_identity(logistic_model):
@@ -194,6 +308,16 @@ def test_check_well_separation_gap_is_pinned(logistic_model):
         logistic_model, result, region,
         (np.zeros(3), np.full(3, 4.0)), n_outside_samples=500, seed=0)
     assert zeta == float.fromhex("0x1.ea34195dfdc00p-8")
+
+
+def test_batched_uniform_draw_is_bitwise_the_per_row_draws():
+    # check_well_separation draws its (N, d) candidates at once; the
+    # Generator gives the same numbers as N draws of (d,)
+    lo, hi = np.array([0.0, 0.5, 1.0]), np.array([4.0, 2.0, 3.0])
+    batched = make_rng(0, 0x5E).uniform(lo, hi, (500, 3))
+    rng = make_rng(0, 0x5E)
+    rows = np.array([rng.uniform(lo, hi) for _ in range(500)])
+    assert np.array_equal(batched, rows)
 
 
 def test_assumption_report_roundtrip(tmp_path, logistic_model):

@@ -184,6 +184,21 @@ def test_hard_error_exit_code(tmp_path):
                 "--out", tmp_path / "m.json"]) == 2
 
 
+def test_check_exits_2_on_a_non_finite_model_config(tmp_path, sim_dir):
+    # check regenerates the dataset from model.json; a NaN there must stop
+    # it rather than give constants of a dataset nobody asked for
+    mode_path = tmp_path / "mode.json"
+    assert run(["mode", "--model-config", sim_dir / "model.json",
+                "--out", mode_path]) == 0
+    doc = json.loads((sim_dir / "model.json").read_text())
+    doc["theta_star"][0] = float("nan")
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))  # written as the JSON literal NaN
+    assert run(["check", "--model-config", bad, "--mode-result", mode_path,
+                "--grid", 10, "--out", tmp_path / "check.json"]) == 2
+    assert not (tmp_path / "check.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["ess", "--n-steps", 100, "--burn-in", 100],
     ["ess", "--step", 0],

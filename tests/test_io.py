@@ -87,3 +87,17 @@ def test_load_dataset_rejects_bad_header(tmp_path):
     path.write_text("a,b\n1.0,2.0\n")
     with pytest.raises(ConfigError):
         io.load_dataset("logistic", path)
+
+
+@pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model", "gmm_model"])
+def test_load_dataset_rejects_non_finite_values(tmp_path, fixture, request):
+    model = request.getfixturevalue(fixture)
+    path = tmp_path / "dataset.csv"
+    io.save_dataset(model, path)
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[0] = "nan"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="finite"):
+        io.load_dataset(model.kind, path)

@@ -179,6 +179,58 @@ def test_simulate_gmm_rejects_covariances_of_the_wrong_shape():
                         covariances=np.stack([np.eye(2)] * 2))
 
 
+def _valid_data(kind):
+    """Small valid fields of one data class."""
+    rng = np.random.default_rng(0)
+    if kind == "logistic":
+        return models.LogisticData, {"X": rng.standard_normal((5, 3)),
+                                     "Y": np.array([0.0, 1.0, 1.0, 0.0, 1.0])}
+    if kind == "poisson":
+        return models.PoissonData, {"A": rng.uniform(0.1, 1.0, (5, 3)),
+                                    "Y": np.array([1.0, 2.0, 0.0, 3.0, 1.0]),
+                                    "T": 1.0}
+    return models.GmmData, {"X": rng.standard_normal((6, 2)),
+                            "weights": np.array([0.6, 0.4]),
+                            "covariances": np.stack([np.eye(2)] * 2)}
+
+
+@given(kind=st.sampled_from(models.KINDS), choice=st.integers(0, 2),
+       position=st.integers(0, 100), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=150, deadline=None)
+def test_data_classes_reject_non_finite_input(kind, choice, position, bad):
+    cls, fields = _valid_data(kind)
+    cls(**fields)  # valid as built
+    name = sorted(fields)[choice % len(fields)]
+    value = np.array(fields[name], dtype=float)
+    value.flat[position % value.size] = bad
+    with pytest.raises(ConfigError):
+        cls(**{**fields, name: value})
+
+
+def test_simulate_rejects_non_finite_theta_star():
+    with pytest.raises(ConfigError, match="finite"):
+        models.simulate("logistic", np.array([np.nan, 1.0, 0.0]), 10, seed=0)
+
+
+@pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model"])
+def test_glm_hessian_is_one_exactly_symmetric_product(fixture, request):
+    model = request.getfixturevalue(fixture)
+    data = model.data
+    X = data.X if model.kind == "logistic" else data.A
+    for theta in _interior_points(model, 5, seed=2):
+        eta = X @ theta
+        if model.kind == "logistic":
+            s = models._expit(eta)
+            w = s * (1.0 - s)
+        else:
+            w = np.where(data.Y > 0, data.T * data.Y / eta**2, 0.0)
+        H = models._KERNELS[model.kind].hess(data, eta)
+        assert np.array_equal(H, H.T)
+        # the two-product form the kernels used before
+        assert rel_err(H, -(X.T * w) @ X / data.n) <= 1e-13
+        assert np.array_equal(models.hess_log_lik(model, theta), H)
+
+
 def test_model_instance_validates_theta_star_shape():
     data = models.LogisticData(X=np.zeros((3, 2)), Y=np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ShapeError):
