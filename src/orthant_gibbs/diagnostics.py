@@ -249,11 +249,6 @@ class CoverageReport:
     level: float
     boundary_flags: np.ndarray
 
-    def to_json(self) -> dict:
-        return {"per_coordinate_coverage": np.asarray(self.per_coordinate_coverage).tolist(),
-                "n_trials": self.n_trials, "level": self.level,
-                "boundary_flags": np.asarray(self.boundary_flags).tolist()}
-
 
 def coverage_experiment(trial_samples: Sequence[np.ndarray], theta_star,
                         level: float, split: CoordinateSplit) -> CoverageReport:

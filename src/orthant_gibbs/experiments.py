@@ -71,7 +71,7 @@ class ExperimentConfig:
         return sampler.SamplerConfig(
             step_size=self.sampler_step, n_steps=self.n_steps,
             burn_in=self.burn_in, projection="orthant", init=init,
-            warm_start_scale=1.0, seed=seed, thin=self.thin)
+            seed=seed, thin=self.thin)
 
     def config_hash(self) -> str:
         """Hash of every field except ``out_dir``: the same study written to

@@ -41,31 +41,22 @@ def save_dataset(model: ModelInstance, path) -> None:
     """Write the model's dataset; GMM adds ``<path>.mixture.json``."""
     path = Path(path)
     data = model.data
-    if model.kind == "gmm":
-        assert isinstance(data, GmmData)
+    if isinstance(data, GmmData):
         _write_csv(path, [f"x_{j}" for j in range(data.m)], data.X)
         sidecar = {"weights": data.weights.tolist(),
                    "covariances": data.covariances.tolist()}
         with open(path.with_suffix(path.suffix + ".mixture.json"), "w") as fh:
             json.dump(sidecar, fh, indent=2)
         return
-    if model.kind == "logistic":
-        assert isinstance(data, LogisticData)
-        X, y = data.X, data.Y
-    elif model.kind == "poisson":
-        assert isinstance(data, PoissonData)
-        X, y = data.A, data.Y
-    else:
-        raise ConfigError(f"unknown model kind {model.kind!r}")
+    X = data.A if isinstance(data, PoissonData) else data.X
     header = [f"x_{j}" for j in range(X.shape[1])] + ["y"]
-    _write_csv(path, header, np.column_stack([X, y]))
+    _write_csv(path, header, np.column_stack([X, data.Y]))
 
 
 def load_dataset(kind: str, path, *, T: float = 1.0,
-                 prior: Prior | None = None) -> ModelInstance:
+                 prior: Prior = Prior()) -> ModelInstance:
     """Inverse of :func:`save_dataset` (theta_star is not stored: None)."""
     path = Path(path)
-    prior = Prior.flat() if prior is None else prior
     header, body = _read_csv(path)
     if kind == "gmm":
         sidecar_path = path.with_suffix(path.suffix + ".mixture.json")
@@ -83,7 +74,7 @@ def load_dataset(kind: str, path, *, T: float = 1.0,
         data = PoissonData(A=body[:, :-1], Y=body[:, -1], T=T)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    return ModelInstance(kind=kind, data=data, prior=prior, theta_star=None)
+    return ModelInstance(data=data, prior=prior)
 
 
 def save_model_config(template: ModelTemplate, seed: int, path) -> None:

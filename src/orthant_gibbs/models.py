@@ -8,6 +8,12 @@ Three models are supported, all parameterized over the non-negative orthant:
 * ``gmm``      -- Gaussian location mixture with known weights and
   covariances; the parameter is the flattened stack of component means.
 
+Each kind has a data class, which carries the kind's name. A
+``ModelInstance`` pairs a dataset with a ``Prior`` (flat, or exponential
+with a given rate) and is the sampling target: its ``value``, ``grad`` and
+``value_and_grad`` are the unnormalized log Gibbs density
+log prior(theta) + n * l_n(theta) and its gradient.
+
 All log-likelihoods are normalized per observation (averaged over the n
 data points). Derivative formulas extend continuously to the orthant
 boundary and are evaluated there as one-sided derivatives.
@@ -16,16 +22,14 @@ boundary and are evaluated there as one-sided derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .rng import make_rng
-
-KINDS = ("logistic", "poisson", "gmm")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # Stirling series of log Gamma(x) for x >= 13: cephes lgam's coefficients
@@ -76,33 +80,18 @@ def _as_vector(theta, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neg_scaled(rate: float) -> Callable[[np.ndarray], np.ndarray]:
-    def log_pdf(t):
-        return np.log(rate) - rate * np.asarray(t, dtype=float)
-
-    return log_pdf
-
-
-def _const_grad(rate: float) -> Callable[[np.ndarray], np.ndarray]:
-    def grad(t):
-        return np.full_like(np.asarray(t, dtype=float), -rate)
-
-    return grad
-
-
 @dataclass(frozen=True)
 class Prior:
-    """Log-concave product prior with i.i.d. coordinates.
+    """Product prior with i.i.d. coordinates on the orthant: flat (``rate``
+    0, an improper prior with log-density 0) or exponential(rate), with
+    log-density sum_j (log(rate) - rate * theta_j). Both are log-concave."""
 
-    ``log_pdf`` and ``grad_log_pdf`` are applied coordinate-wise; the joint
-    log-density is the coordinate sum. ``log_pdf=None`` is the flat
-    (improper) prior with log-density identically zero.
-    """
+    rate: float = 0.0
 
-    log_pdf: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_log_pdf: Callable[[np.ndarray], np.ndarray] | None = None
-    lipschitz: float = 0.0
-    name: str = "flat"
+    def __post_init__(self):
+        if not (self.rate == 0 or 0 < self.rate < math.inf):
+            raise ConfigError(f"prior rate must be 0 (flat) or finite and > 0, "
+                              f"got {self.rate}")
 
     @staticmethod
     def flat() -> "Prior":
@@ -110,51 +99,31 @@ class Prior:
 
     @staticmethod
     def exponential(rate: float = 1.0) -> "Prior":
-        if rate <= 0:
-            raise ConfigError("exponential prior rate must be positive")
-        return Prior(
-            log_pdf=_neg_scaled(rate),
-            grad_log_pdf=_const_grad(rate),
-            lipschitz=rate,
-            name=f"exponential({rate})",
-        )
+        if rate == 0:
+            raise ConfigError("exponential prior rate must be > 0, got 0")
+        return Prior(float(rate))
 
     @property
     def is_flat(self) -> bool:
-        return self.log_pdf is None
+        return self.rate == 0
 
-    def check_concavity(self, hi: float = 10.0, n_triples: int = 200, seed: int = 0,
-                        tol: float = 1e-9) -> None:
-        """Midpoint-concavity check of log_pdf on sampled triples in [0, hi].
+    @property
+    def name(self) -> str:
+        return "flat" if self.is_flat else f"exponential({self.rate})"
 
-        Raises ConfigError on a violation beyond ``tol``.
-        """
-        if self.is_flat:
-            return
-        rng = make_rng(seed, 0xC0)
-        a = rng.uniform(0.0, hi, n_triples)
-        b = rng.uniform(0.0, hi, n_triples)
-        mid = 0.5 * (a + b)
-        gap = self.log_pdf(mid) - 0.5 * (self.log_pdf(a) + self.log_pdf(b))
-        if np.any(gap < -tol):
-            raise ConfigError("prior log-density is not midpoint concave on [0, hi]")
-
-    def oscillation(self, r: float, n_grid: int = 512) -> float:
-        """Oscillation (sup - inf) of log_pdf on [0, r], by grid evaluation."""
-        if self.is_flat or r <= 0:
-            return 0.0
-        vals = self.log_pdf(np.linspace(0.0, r, n_grid))
-        return float(np.max(vals) - np.min(vals))
+    def oscillation(self, r: float) -> float:
+        """Oscillation (sup - inf) of the log-density on [0, r]: rate * r."""
+        return self.rate * max(r, 0.0)
 
     def to_json(self) -> dict:
-        return {"name": self.name, "lipschitz": self.lipschitz}
+        return {"name": self.name, "lipschitz": self.rate}
 
     @staticmethod
     def from_json(obj: dict) -> "Prior":
         name = obj.get("name", "flat")
         if name == "flat":
-            return Prior.flat()
-        if name.startswith("exponential("):
+            return Prior()
+        if name.startswith("exponential(") and name.endswith(")"):
             return Prior.exponential(float(name[len("exponential("):-1]))
         raise ConfigError(f"unknown prior name {name!r}")
 
@@ -166,6 +135,7 @@ class Prior:
 
 @dataclass(frozen=True)
 class LogisticData:
+    kind: ClassVar[str] = "logistic"
     X: np.ndarray
     Y: np.ndarray
 
@@ -191,6 +161,7 @@ class LogisticData:
 
 @dataclass(frozen=True)
 class PoissonData:
+    kind: ClassVar[str] = "poisson"
     A: np.ndarray
     Y: np.ndarray
     T: float = 1.0
@@ -237,6 +208,7 @@ class PoissonData:
 
 @dataclass(frozen=True)
 class GmmData:
+    kind: ClassVar[str] = "gmm"
     X: np.ndarray
     weights: np.ndarray
     covariances: np.ndarray  # (k, m, m)
@@ -299,21 +271,24 @@ class GmmData:
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A model kind bundled with its dataset and prior."""
+    """A dataset and its prior: the sampling target, with the unnormalized
+    log Gibbs density log prior(theta) + n * l_n(theta) as ``value``, its
+    gradient as ``grad`` and both from one pass as ``value_and_grad``."""
 
-    kind: str
     data: LogisticData | PoissonData | GmmData
-    prior: Prior = field(default_factory=Prior.flat)
+    prior: Prior = Prior()
     theta_star: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.theta_star is not None:
             ts = np.asarray(self.theta_star, dtype=float)
             object.__setattr__(self, "theta_star", ts)
             if ts.shape != (self.d,):
                 raise ShapeError("theta_star length does not match model dimension")
+
+    @property
+    def kind(self) -> str:
+        return self.data.kind
 
     @property
     def d(self) -> int:
@@ -322,6 +297,17 @@ class ModelInstance:
     @property
     def n(self) -> int:
         return self.data.n
+
+    # the module functions are looked up at call time, so that a wrapper
+    # installed on them sees every call
+    def value(self, theta) -> float:
+        return log_posterior_unnorm(self, theta)
+
+    def grad(self, theta) -> np.ndarray:
+        return grad_log_posterior_unnorm(self, theta)
+
+    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+        return log_posterior_and_grad(self, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +448,8 @@ def _gmm_hess(data: GmmData, shared) -> np.ndarray:
             block = -(g[j].T * w_mix) @ g[jp] / n
             H[j, jp] = block
             H[jp, j] = block.T
-    return H.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+    H = H.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+    return 0.5 * (H + H.T)
 
 
 _KERNELS = {
@@ -470,6 +457,7 @@ _KERNELS = {
     "poisson": _Kernel(_poisson_rates, _poisson_loglik, _poisson_grad, _poisson_hess),
     "gmm": _Kernel(_gmm_pass, _gmm_loglik, _gmm_grad, _gmm_hess),
 }
+KINDS = tuple(_KERNELS)
 
 
 def _shared_pass(model: ModelInstance, theta) -> tuple[_Kernel, object]:
@@ -490,24 +478,23 @@ def grad_log_lik(model: ModelInstance, theta) -> np.ndarray:
 
 
 def hess_log_lik(model: ModelInstance, theta) -> np.ndarray:
-    """Hessian of the average log-likelihood, exactly symmetrized."""
+    """Hessian of the average log-likelihood, exactly symmetric."""
     kernel, shared = _shared_pass(model, theta)
-    H = kernel.hess(model.data, shared)
-    return 0.5 * (H + H.T)
+    return kernel.hess(model.data, shared)
 
 
 def log_prior(prior: Prior, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if prior.is_flat:
         return 0.0
-    return float(np.sum(prior.log_pdf(theta)))
+    return float(np.sum(np.log(prior.rate) - prior.rate * theta))
 
 
 def grad_log_prior(prior: Prior, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if prior.is_flat:
         return np.zeros_like(theta)
-    return np.asarray(prior.grad_log_pdf(theta), dtype=float)
+    return np.full_like(theta, -prior.rate)
 
 
 def log_posterior_unnorm(model: ModelInstance, theta) -> float:
@@ -533,13 +520,12 @@ def log_posterior_and_grad(model: ModelInstance, theta) -> tuple[float, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = None,
-             T: float = 1.0, A: np.ndarray | None = None,
-             weights=None, covariances=None) -> ModelInstance:
+def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior = Prior(),
+             T: float = 1.0, weights=None, covariances=None) -> ModelInstance:
     """Draw a synthetic dataset from ``kind`` at truth ``theta_star``.
 
-    Deterministic for a fixed seed. For ``poisson`` a sensitivity matrix A may
-    be supplied; otherwise entries are drawn uniform on [0, 1]. For ``gmm``
+    Deterministic for a fixed seed. For ``poisson`` the sensitivity matrix A
+    is drawn uniform on [0, 1], with exposure T. For ``gmm``
     the mixture weights and covariances must be supplied; ``theta_star`` is
     the flattened stack of the k component means.
     """
@@ -549,7 +535,6 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = 
         raise ConfigError("theta_star must lie in the non-negative orthant")
     if n < 1:
         raise ConfigError("n must be >= 1")
-    prior = prior if prior is not None else Prior.flat()
     rng = make_rng(seed)
     d = theta_star.shape[0]
 
@@ -558,15 +543,10 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = 
         Y = (rng.random(n) < _expit(X @ theta_star)).astype(float)
         data = LogisticData(X=X, Y=Y)
     elif kind == "poisson":
-        if A is None:
-            A = rng.uniform(0.0, 1.0, (n, d))
-        else:
-            A = np.asarray(A, dtype=float)
-            if A.shape != (n, d):
-                raise ShapeError(f"A has shape {A.shape}, expected ({n},{d})")
+        A = rng.uniform(0.0, 1.0, (n, d))
         rates = A @ theta_star
         if np.any(rates <= 0):
-            raise ConfigError("A theta_star has a non-positive rate; adjust A or theta_star")
+            raise ConfigError("A theta_star has a non-positive rate; adjust theta_star")
         counts = rng.poisson(T * rates).astype(float)
         if not np.any(counts > 0):
             raise ConfigError("all simulated counts are zero; increase T or the rates")
@@ -594,7 +574,7 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior | None = 
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
 
-    return ModelInstance(kind=kind, data=data, prior=prior, theta_star=theta_star)
+    return ModelInstance(data=data, prior=prior, theta_star=theta_star)
 
 
 @dataclass(frozen=True)
@@ -604,13 +584,10 @@ class ModelTemplate:
     kind: str
     theta_star: np.ndarray
     n: int
-    prior: Prior = field(default_factory=Prior.flat)
-    T: float = 1.0
-    A: np.ndarray | None = None
+    prior: Prior = Prior()
     weights: np.ndarray | None = None
     covariances: np.ndarray | None = None
 
     def simulate(self, seed: int) -> ModelInstance:
         return simulate(self.kind, self.theta_star, self.n, seed, prior=self.prior,
-                        T=self.T, A=self.A, weights=self.weights,
-                        covariances=self.covariances)
+                        weights=self.weights, covariances=self.covariances)

@@ -5,9 +5,11 @@ projection:
 
     x <- P(x + h * grad_log_density(x) + N(0, 2h I)).
 
-For a model instance the log density is the unnormalized log posterior
-log pi(theta) + n * loglik(theta). No Metropolis correction is applied, so
-the stationary law carries an O(h) discretization bias. Reflection at the
+The target is anything with ``value``, ``grad``, ``value_and_grad`` and
+``d``: a ``models.ModelInstance``, whose log density is the unnormalized log
+posterior log pi(theta) + n * loglik(theta), or a ``Target`` built from two
+functions for synthetic tests. No Metropolis correction is applied, so the
+stationary law carries an O(h) discretization bias. Reflection at the
 good-set boundary is approximated by projection.
 """
 
@@ -21,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import models
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .geometry import GoodSet, contains_many, project_good_set, project_orthant
 from .rng import make_rng
@@ -29,34 +30,15 @@ from .rng import make_rng
 
 @dataclass(frozen=True)
 class Target:
-    """Generic unnormalized log-density with gradient, for synthetic tests.
-
-    ``value_and_grad`` returns both at one state; it defaults to calling
-    ``value`` and then ``grad``.
-    """
+    """Unnormalized log-density on R^d with its gradient, for synthetic
+    tests; the same surface as a ``models.ModelInstance``."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
+    d: int
 
-    def __post_init__(self):
-        if self.value_and_grad is None:
-            object.__setattr__(self, "value_and_grad",
-                               lambda x: (self.value(x), self.grad(x)))
-
-
-def as_target(obj) -> Target:
-    if isinstance(obj, Target):
-        return obj
-    if isinstance(obj, models.ModelInstance):
-        return Target(
-            value=lambda x: models.log_posterior_unnorm(obj, x),
-            grad=lambda x: models.grad_log_posterior_unnorm(obj, x),
-            dim=obj.d,
-            value_and_grad=lambda x: models.log_posterior_and_grad(obj, x),
-        )
-    raise ConfigError(f"cannot interpret {type(obj).__name__} as a sampling target")
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.value(x), self.grad(x)
 
 
 @dataclass(frozen=True)
@@ -65,14 +47,13 @@ class SamplerConfig:
     n_steps: int
     burn_in: int = 0
     projection: str | GoodSet = "orthant"
-    init: np.ndarray | None = None  # explicit start; None = warm start
-    warm_start_scale: float = 1.0
+    init: np.ndarray | None = None  # explicit start; None = theta_star + N(0, I)
     seed: int = 0
     thin: int = 1
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ConfigError(f"step_size must be finite and > 0, got {self.step_size}")
         if not 0 <= self.burn_in < self.n_steps:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_steps")
         if self.thin < 1:
@@ -96,7 +77,6 @@ class SamplerConfig:
             "projection": ("orthant" if isinstance(self.projection, str)
                            else {"good_set": self.projection.to_json()}),
             "init": None if self.init is None else np.asarray(self.init).tolist(),
-            "warm_start_scale": self.warm_start_scale,
             "seed": self.seed,
             "thin": self.thin,
         }
@@ -152,32 +132,31 @@ def plmc_step(x: np.ndarray, drift, h: float, rng: np.random.Generator,
     return projection(x + h * drift + math.sqrt(2.0 * h) * rng.standard_normal(x.shape[0]))
 
 
-def _initial_state(model_or_target, config: SamplerConfig,
-                   rng: np.random.Generator, project) -> np.ndarray:
+def _initial_state(target, config: SamplerConfig, rng: np.random.Generator,
+                   project) -> np.ndarray:
     if config.init is not None:
         return project(config.init)
-    if isinstance(model_or_target, models.ModelInstance) and model_or_target.theta_star is not None:
-        theta_star = model_or_target.theta_star
-        return project(theta_star + config.warm_start_scale * rng.standard_normal(theta_star.size))
+    theta_star = getattr(target, "theta_star", None)
+    if theta_star is not None:
+        return project(theta_star + rng.standard_normal(theta_star.size))
     raise ConfigError("no explicit init and no theta_star available for a warm start")
 
 
-def run_chain(model_or_target, config: SamplerConfig) -> Chain:
+def run_chain(target, config: SamplerConfig) -> Chain:
     """Run projected LMC and keep post-burn-in, thinned states.
 
     A kept state's log density comes from the fused value-and-gradient call
     at the next step's drift; only the last kept state, when it is the final
     state, needs a lone value call.
     """
-    target = as_target(model_or_target)
     project = config.projector()
     rng = make_rng(config.seed, 0x10)
-    x = _initial_state(model_or_target, config, rng, project)
-    if x.shape != (target.dim,):
-        raise ShapeError(f"init has shape {x.shape}, expected ({target.dim},)")
+    x = _initial_state(target, config, rng, project)
+    if x.shape != (target.d,):
+        raise ShapeError(f"init has shape {x.shape}, expected ({target.d},)")
 
     kept = -(-(config.n_steps - config.burn_in) // config.thin)
-    samples = np.empty((kept, target.dim))
+    samples = np.empty((kept, target.d))
     log_post = np.empty(kept)
     row = 0
     x_kept = False  # x is samples[row - 1], and its log density is still owed

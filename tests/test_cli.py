@@ -199,9 +199,20 @@ def test_check_exits_2_on_a_non_finite_model_config(tmp_path, sim_dir):
     assert not (tmp_path / "check.json").exists()
 
 
+def test_mode_exits_2_on_a_non_finite_prior_rate(tmp_path, sim_dir, capsys):
+    doc = json.loads((sim_dir / "model.json").read_text())
+    doc["prior"] = {"name": "exponential(nan)", "lipschitz": float("nan")}
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["mode", "--model-config", bad, "--out", tmp_path / "mode.json"]) == 2
+    assert "prior rate" in capsys.readouterr().err
+    assert not (tmp_path / "mode.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["ess", "--n-steps", 100, "--burn-in", 100],
     ["ess", "--step", 0],
+    ["ess", "--step", "nan"],
     ["coverage", "--n-trials", 0],
 ])
 def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):

@@ -75,6 +75,19 @@ def test_model_config_roundtrip(tmp_path):
                                   again.simulate(17).data.A)
 
 
+@pytest.mark.parametrize("name", ["exponential(nan)", "exponential(inf)",
+                                  "exponential(0)", "exponential(-1.0)"])
+def test_model_config_rejects_a_bad_prior_rate(tmp_path, name):
+    template = models.ModelTemplate(kind="logistic", theta_star=np.array([1.0, 0.0]), n=20)
+    path = tmp_path / "model.json"
+    io.save_model_config(template, 0, path)
+    doc = json.loads(path.read_text())
+    doc["prior"]["name"] = name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="prior rate"):
+        io.load_model_config(path)
+
+
 def test_model_config_missing_field(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "logistic", "d": 2}))

@@ -35,7 +35,7 @@ def test_logistic_all_zero_labels_boundary_mode():
     rng = np.random.default_rng(0)
     data = models.LogisticData(X=np.abs(rng.standard_normal((50, 1))),
                                Y=np.zeros(50))
-    model = models.ModelInstance(kind="logistic", data=data)
+    model = models.ModelInstance(data=data)
     result = find_mode_local(model, np.array([1.0]), tol=1e-10)
     assert result.theta_hat[0] <= 1e-10
 

@@ -36,19 +36,19 @@ def test_hessian_matches_finite_differences(fixture, request):
         analytic = models.hess_log_lik(model, theta)
         numeric = fd_hessian(lambda t: models.grad_log_lik(model, t), theta)
         assert rel_err(analytic, numeric) <= 1e-5
-        assert np.allclose(analytic, analytic.T)
+        assert np.array_equal(analytic, analytic.T)
 
 
 def test_logistic_loglik_closed_form():
     # single observation, eta = 0: l = y*0 - log(1 + e^0) = -log 2
     data = models.LogisticData(X=np.zeros((1, 2)), Y=np.array([1.0]))
-    model = models.ModelInstance(kind="logistic", data=data)
+    model = models.ModelInstance(data=data)
     assert models.log_lik(model, np.array([3.0, 4.0])) == pytest.approx(-np.log(2))
 
 
 def test_logistic_loglik_is_stable_at_extreme_eta():
     data = models.LogisticData(X=np.array([[100.0]]), Y=np.array([0.0]))
-    model = models.ModelInstance(kind="logistic", data=data)
+    model = models.ModelInstance(data=data)
     val = models.log_lik(model, np.array([10.0]))
     assert np.isfinite(val) and val == pytest.approx(-1000.0)
 
@@ -56,7 +56,7 @@ def test_logistic_loglik_is_stable_at_extreme_eta():
 def test_poisson_domain_error_on_zero_rate():
     data = models.PoissonData(A=np.array([[1.0, 0.0], [0.0, 1.0]]),
                               Y=np.array([2.0, 3.0]))
-    model = models.ModelInstance(kind="poisson", data=data)
+    model = models.ModelInstance(data=data)
     with pytest.raises(DomainError):
         models.log_lik(model, np.array([0.0, 1.0]))
 
@@ -64,7 +64,7 @@ def test_poisson_domain_error_on_zero_rate():
 def test_poisson_loglik_closed_form():
     # one observation, rate 2, count 3: -2 + 3 log 2 - log 3!
     data = models.PoissonData(A=np.array([[1.0]]), Y=np.array([3.0]))
-    model = models.ModelInstance(kind="poisson", data=data)
+    model = models.ModelInstance(data=data)
     expected = -2.0 + 3.0 * np.log(2.0) - np.log(6.0)
     assert models.log_lik(model, np.array([2.0])) == pytest.approx(expected)
 
@@ -234,7 +234,7 @@ def test_glm_hessian_is_one_exactly_symmetric_product(fixture, request):
 def test_model_instance_validates_theta_star_shape():
     data = models.LogisticData(X=np.zeros((3, 2)), Y=np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ShapeError):
-        models.ModelInstance(kind="logistic", data=data, theta_star=np.ones(5))
+        models.ModelInstance(data=data, theta_star=np.ones(5))
 
 
 def test_flat_prior_contributes_nothing(logistic_model):
@@ -252,7 +252,6 @@ def test_exponential_prior_log_density_and_grad():
     expected = 2 * np.log(2.0) - 2.0 * 4.0
     assert models.log_prior(prior, theta) == pytest.approx(expected)
     np.testing.assert_allclose(models.grad_log_prior(prior, theta), [-2.0, -2.0])
-    prior.check_concavity()  # linear log-density: concave
 
 
 @given(rate=st.floats(0.1, 5.0), r=st.floats(0.01, 10.0))
@@ -264,10 +263,32 @@ def test_exponential_prior_oscillation(rate, r):
 
 
 def test_prior_json_roundtrip():
-    for prior in (models.Prior.flat(), models.Prior.exponential(0.5)):
+    for prior, doc in ((models.Prior.flat(), {"name": "flat", "lipschitz": 0.0}),
+                       (models.Prior.exponential(0.5),
+                        {"name": "exponential(0.5)", "lipschitz": 0.5})):
+        assert prior.to_json() == doc  # the prior's bytes in model.json
         again = models.Prior.from_json(prior.to_json())
         assert again.name == prior.name
-        assert again.lipschitz == prior.lipschitz
+        assert again.rate == prior.rate
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_exponential_prior_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ConfigError, match="rate"):
+        models.Prior.exponential(rate)
+    with pytest.raises(ConfigError, match="rate"):
+        models.Prior.from_json({"name": f"exponential({rate})", "lipschitz": rate})
+    if rate != 0.0:  # rate 0 is the flat prior
+        with pytest.raises(ConfigError, match="rate"):
+            models.Prior(rate=rate)
+
+
+def test_model_kind_comes_from_its_data(logistic_model, poisson_model, gmm_model):
+    for model in (logistic_model, poisson_model, gmm_model):
+        assert models.ModelInstance(data=model.data).kind == model.data.kind
+    assert [m.kind for m in (logistic_model, poisson_model, gmm_model)] == list(models.KINDS)
+    with pytest.raises(TypeError):
+        models.ModelInstance(kind="poisson", data=logistic_model.data)
 
 
 def test_posterior_grad_includes_prior(poisson_model):

@@ -12,7 +12,7 @@ def gaussian_target(mean):
     mean = np.asarray(mean, dtype=float)
     return sampler.Target(value=lambda x: -0.5 * float(np.sum((x - mean) ** 2)),
                           grad=lambda x: mean - x,
-                          dim=mean.size)
+                          d=mean.size)
 
 
 class ZeroNoiseRng:
@@ -21,8 +21,9 @@ class ZeroNoiseRng:
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        sampler.SamplerConfig(step_size=0.0, n_steps=10)
+    for step in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            sampler.SamplerConfig(step_size=step, n_steps=10)
     with pytest.raises(ConfigError):
         sampler.SamplerConfig(step_size=0.1, n_steps=10, burn_in=10)
     with pytest.raises(ConfigError):
@@ -51,7 +52,7 @@ def test_plmc_step_projects():
 
 def test_plmc_step_rejects_nonfinite_drift():
     bad = sampler.Target(value=lambda x: 0.0,
-                         grad=lambda x: np.array([np.nan]), dim=1)
+                         grad=lambda x: np.array([np.nan]), d=1)
     with pytest.raises(NonFiniteError):
         sampler.plmc_step(np.array([1.0]), bad.grad(np.array([1.0])), 0.1,
                           ZeroNoiseRng())
@@ -81,11 +82,29 @@ def test_run_chain_names_the_step_of_a_nonfinite_drift():
         calls.append(x)
         return np.array([np.nan if len(calls) == 6 else 0.0])
 
-    bad = sampler.Target(value=lambda x: 0.0, grad=grad, dim=1)
+    bad = sampler.Target(value=lambda x: 0.0, grad=grad, d=1)
     config = sampler.SamplerConfig(step_size=0.1, n_steps=20,
                                    init=np.array([1.0]), seed=0)
     with pytest.raises(NonFiniteError, match=r"at step 5$"):
         sampler.run_chain(bad, config)
+
+
+def test_run_chain_takes_a_model_instance_as_its_target(logistic_model):
+    # the model's methods are the module functions, so a chain on the model
+    # is bitwise a chain on a Target built from them
+    theta = np.array([0.5, 0.2, 0.1])
+    assert logistic_model.value(theta) == models.log_posterior_unnorm(logistic_model, theta)
+    np.testing.assert_array_equal(logistic_model.grad(theta),
+                                  models.grad_log_posterior_unnorm(logistic_model, theta))
+    target = sampler.Target(
+        value=lambda x: models.log_posterior_unnorm(logistic_model, x),
+        grad=lambda x: models.grad_log_posterior_unnorm(logistic_model, x),
+        d=logistic_model.d)
+    config = sampler.SamplerConfig(step_size=1e-3, n_steps=30, burn_in=5,
+                                   init=np.array([1.0, 0.5, 0.1]), seed=2)
+    a, b = sampler.run_chain(logistic_model, config), sampler.run_chain(target, config)
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.log_posterior.tobytes() == b.log_posterior.tobytes()
 
 
 def test_run_chain_bookkeeping():
@@ -124,7 +143,7 @@ def test_target_value_and_grad_defaults_to_value_then_grad():
         calls.append("grad")
         return -x
 
-    target = sampler.Target(value=value, grad=grad, dim=2)
+    target = sampler.Target(value=value, grad=grad, d=2)
     fused_value, fused_grad = target.value_and_grad(np.array([1.0, 2.0]))
     assert fused_value == 1.5 and calls == ["value", "grad"]
     np.testing.assert_array_equal(fused_grad, [-1.0, -2.0])
@@ -158,7 +177,7 @@ def test_run_chain_interior_gaussian_mean():
 def test_run_chain_truncated_exponential_mean():
     rate, L = 1.0, 2.0
     target = sampler.Target(value=lambda x: -rate * float(x[0]),
-                            grad=lambda x: np.array([-rate]), dim=1)
+                            grad=lambda x: np.array([-rate]), d=1)
     config = sampler.SamplerConfig(step_size=5e-4, n_steps=200_000,
                                    burn_in=20_000, init=np.array([0.5]), seed=3)
     chain = sampler.run_chain(target, config)
