@@ -17,7 +17,6 @@ estimates are the extremes of the same eigenvalues a full scan computes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -59,7 +58,6 @@ class AssumptionReport:
     C_PI_bound: float
     grid: int
     seed: int
-    zeta_hat: float | None = None
 
     def __post_init__(self):
         finite = [self.c_S0_hat, self.C_S1_hat, self.s2_hat, self.osc_bound]
@@ -69,22 +67,6 @@ class AssumptionReport:
         # curvature/gradient constant is non-positive on the region.
         if math.isnan(self.C_PI_bound) or self.C_PI_bound < 0:
             raise NumericalError("C_PI_bound must be a non-negative number")
-
-    def to_json(self) -> dict:
-        return {
-            "c_S0_hat": self.c_S0_hat,
-            "C_S1_hat": self.C_S1_hat,
-            "s2_hat": self.s2_hat,
-            "osc_bound": self.osc_bound,
-            "C_PI_bound": self.C_PI_bound,
-            "zeta_hat": self.zeta_hat,
-            "grid": self.grid,
-            "seed": self.seed,
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
 
 
 def sample_region(region: RegionSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -135,8 +117,8 @@ def _shifted(A: np.ndarray, shift: float) -> np.ndarray:
     return out
 
 
-def estimate_constants(model: models.ModelInstance, region: RegionSpec,
-                       *, poincare_factor: float = 4.0) -> AssumptionReport:
+def estimate_constants(model: models.ModelInstance,
+                       region: RegionSpec) -> AssumptionReport:
     """Monte Carlo estimates of (c_S0, C_S1, s2) over ``region`` plus the
     oscillation and Poincare bounds implied by them.
 
@@ -178,7 +160,7 @@ def estimate_constants(model: models.ModelInstance, region: RegionSpec,
         cpi = math.inf
     else:
         cpi = poincare_bound(c_s0, c_s1, s2, delta0, delta1, d0, d1, n,
-                             prior_osc=prior_osc, factor=poincare_factor)
+                             prior_osc=prior_osc)
     return AssumptionReport(c_S0_hat=c_s0, C_S1_hat=c_s1, s2_hat=s2,
                             osc_bound=osc, C_PI_bound=cpi,
                             grid=region.grid, seed=region.seed)

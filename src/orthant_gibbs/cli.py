@@ -60,10 +60,8 @@ def cmd_simulate(args) -> int:
     theta_star = _parse_vector(args.theta_star)
     kwargs = {}
     if args.model == "gmm":
-        if theta_star.size % args.k != 0:
-            raise OrthantGibbsError("theta_star length must be divisible by k")
         weights = _parse_vector(args.weights) if args.weights else None
-        kwargs = experiments.gmm_mixture(args.k, theta_star.size // args.k, weights)
+        kwargs = experiments.gmm_mixture(args.k, theta_star.size, weights)
     template = models.ModelTemplate(kind=args.model, theta_star=theta_star,
                                     n=args.n, **kwargs)
     model = template.simulate(seed)
@@ -88,7 +86,7 @@ def cmd_mode(args) -> int:
         init = (np.asarray(model.theta_star, dtype=float) + 0.1
                 if model.theta_star is not None else np.full(model.d, 0.5))
         result = find_mode_local(model, np.maximum(init, 0.1), tol=args.tol)
-    result.save(args.out)
+    io.write_json(args.out, result)
     print(f"mode objective {result.objective:.6f}, "
           f"residual {result.grad_norm:.3g}, converged={result.converged}")
     return EXIT_OK
@@ -96,8 +94,7 @@ def cmd_mode(args) -> int:
 
 def cmd_check(args) -> int:
     model, template, seed = _load_model(args)
-    with open(args.mode_result) as fh:
-        theta_hat = np.asarray(json.load(fh)["theta_hat"], dtype=float)
+    theta_hat = np.asarray(io.read_json(args.mode_result)["theta_hat"], dtype=float)
     split, center = geometry.split_coordinates(theta_hat, args.tau)
     delta0, delta1 = geometry.default_deltas(split.d1, eps=args.eps)
     gs = geometry.build_good_set(center, split,
@@ -108,7 +105,7 @@ def cmd_check(args) -> int:
     region = assumptions.RegionSpec(center=center, split=split, r0=gs.r0,
                                     r1=gs.r1, grid=args.grid, seed=seed)
     report = assumptions.estimate_constants(model, region)
-    report.save(args.out)
+    io.write_json(args.out, report)
     print(f"c_S0_hat={report.c_S0_hat:.6g}  C_S1_hat={report.C_S1_hat:.6g}  "
           f"s2_hat={report.s2_hat:.6g}")
     print(f"osc_bound={report.osc_bound:.6g}  C_PI_bound={report.C_PI_bound:.6g}")
@@ -128,8 +125,7 @@ def cmd_sample(args) -> int:
     model, template, seed = _load_model(args)
     projection: str | geometry.GoodSet = "orthant"
     if args.good_set:
-        with open(args.good_set) as fh:
-            projection = geometry.GoodSet.from_json(json.load(fh))
+        projection = geometry.GoodSet.from_json(io.read_json(args.good_set))
     init = _parse_vector(args.init) if args.init else None
     config = sampler.SamplerConfig(step_size=args.step, n_steps=args.steps,
                                    burn_in=args.burn_in, projection=projection,
@@ -142,10 +138,7 @@ def cmd_sample(args) -> int:
 
 
 def _experiment_config(args, study: str) -> experiments.ExperimentConfig:
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+    file_cfg = io.read_json(args.config) if args.config else {}
     seed = _resolve_seed(args.seed, file_cfg.get("seed"))
     overrides = dict(file_cfg)
     overrides.pop("preset", None)
@@ -200,12 +193,13 @@ def cmd_gap(args) -> int:
         log_density, (a, b), analytic = _GAP_BENCHMARKS[name]
         result = diagnostics.spectral_gap_1d(log_density, a, b,
                                              grid_points=args.grid_points)
-        results[name] = {**result.to_json(), "analytic_gap": analytic}
+        results[name] = {**io.to_jsonable(result),
+                         "implied_C_PI": result.implied_C_PI,
+                         "analytic_gap": analytic}
         print(f"{name}: gap={result.gap:.6f} (analytic {analytic:.6f}), "
               f"implied_C_PI={result.implied_C_PI:.6f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(results, fh, indent=2)
+        io.write_json(args.out, results)
     return EXIT_OK
 
 

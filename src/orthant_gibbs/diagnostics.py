@@ -4,7 +4,6 @@ finite-difference spectral-gap oracle for reflected Langevin generators."""
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
@@ -201,11 +200,6 @@ class EssReport:
     n_kept: int
     n_chains: int
 
-    def to_json(self) -> dict:
-        return {"per_coordinate": np.asarray(self.per_coordinate).tolist(),
-                "llr_ess": self.llr_ess, "n_kept": self.n_kept,
-                "n_chains": self.n_chains}
-
 
 def ess_report(samples_by_chain: Sequence[np.ndarray],
                log_post_by_chain: Sequence[np.ndarray]) -> EssReport:
@@ -328,10 +322,6 @@ class SpectralGapResult:
     @property
     def implied_C_PI(self) -> float:
         return 1.0 / self.gap
-
-    def to_json(self) -> dict:
-        return {"gap": self.gap, "grid_points": self.grid_points,
-                "domain": list(self.domain), "implied_C_PI": self.implied_C_PI}
 
 
 def spectral_gap_1d(log_density: Callable[[np.ndarray], np.ndarray],

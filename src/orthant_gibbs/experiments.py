@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, models, sampler
+from . import diagnostics, io, models, sampler
 from .errors import ConfigError, OrthantGibbsError
 from .geometry import split_coordinates
 from .mode import find_mode_global, find_mode_local
@@ -57,7 +57,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.step_scale not in ("normalized", "literal"):
             raise ConfigError(f"unknown step_scale {self.step_scale!r}")
-        if self.model == "gmm" and self.d % max(self.k, 1) != 0:
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.model == "gmm" and self.d % self.k != 0:
             raise ConfigError("gmm requires d divisible by k")
         if self.n < 1 or self.n_trials < 1:
             raise ConfigError("n and n_trials must be >= 1")
@@ -128,9 +130,14 @@ def default_theta_star(config: ExperimentConfig) -> np.ndarray:
     return theta
 
 
-def gmm_mixture(k: int, m: int, weights=None) -> dict:
-    """Template arguments of a k-component gmm in dimension m: the weights
-    (the defaults when none are given), normalized, and identity covariances."""
+def gmm_mixture(k: int, d: int, weights=None) -> dict:
+    """Template arguments of a k-component gmm whose d location coordinates
+    are k means of dimension d/k: the weights (the defaults when none are
+    given), normalized, and identity covariances."""
+    if k < 1:
+        raise ConfigError(f"gmm needs k >= 1 components, got k={k}")
+    if d % k != 0:
+        raise ConfigError(f"gmm requires d divisible by k, got d={d}, k={k}")
     if weights is None:
         if k > len(GMM_WEIGHTS):
             raise ConfigError(f"gmm with k={k} needs explicit weights; "
@@ -138,12 +145,12 @@ def gmm_mixture(k: int, m: int, weights=None) -> dict:
         weights = GMM_WEIGHTS[:k]
     weights = np.asarray(weights, dtype=float)
     return {"weights": weights / weights.sum(),
-            "covariances": np.stack([np.eye(m)] * k)}
+            "covariances": np.stack([np.eye(d // k)] * k)}
 
 
 def build_template(config: ExperimentConfig, theta_star=None) -> models.ModelTemplate:
     theta_star = default_theta_star(config) if theta_star is None else np.asarray(theta_star)
-    kwargs = gmm_mixture(config.k, config.d // config.k) if config.model == "gmm" else {}
+    kwargs = gmm_mixture(config.k, config.d) if config.model == "gmm" else {}
     return models.ModelTemplate(kind=config.model, theta_star=theta_star,
                                 n=config.n, **kwargs)
 
@@ -189,7 +196,7 @@ def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate):
 def _write_manifest(config: ExperimentConfig, out: Path, failures, wall_s: float,
                     extra=None) -> None:
     manifest = {
-        "config": asdict(config),
+        "config": config,
         "config_hash": config.config_hash(),
         "trial_seeds": {trial: {"data": derive_seed(config.seed, trial, 0),
                                 "chain": derive_seed(config.seed, trial, 1)}
@@ -200,8 +207,7 @@ def _write_manifest(config: ExperimentConfig, out: Path, failures, wall_s: float
     }
     if extra:
         manifest.update(extra)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    io.write_json(out / "manifest.json", manifest)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:

@@ -3,13 +3,13 @@ Euclidean projections onto the orthant and onto that neighborhood."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import io
 from .errors import ConfigError, ShapeError
 
 
@@ -47,11 +47,11 @@ def split_coordinates(theta_hat, tau: float) -> tuple[CoordinateSplit, np.ndarra
     """Split coordinates at threshold ``tau`` and snap boundary ones to 0.
 
     Returns the split and the snapped center: j lands in S1 iff
-    theta_hat[j] <= tau.
+    theta_hat[j] <= tau, so ``tau`` must be finite and positive.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ConfigError(f"tau must be finite and > 0, got {tau}")
     mask = theta_hat <= tau
     split = CoordinateSplit(S0=np.flatnonzero(~mask), S1=np.flatnonzero(mask))
     center = theta_hat.copy()
@@ -126,8 +126,7 @@ class GoodSet:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+        io.write_json(path, self)
 
 
 def build_good_set(theta_hat, split: CoordinateSplit, delta0: float | None,

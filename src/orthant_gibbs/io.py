@@ -1,14 +1,18 @@
-"""Dataset and model-config serialization.
+"""Dataset and model-config serialization, and the one JSON writer and
+reader of the package.
 
 Logistic/Poisson datasets round-trip through a single CSV with header
 ``x_0,...,x_{d-1},y``. GMM datasets store the observation matrix as CSV plus
 a JSON sidecar holding the known mixture weights and covariances. A model
 config is a small JSON document {kind, d, n, seed, theta_star, prior} from
-which the dataset can be regenerated deterministically.
+which the dataset can be regenerated deterministically. Every JSON document
+the package writes goes through :func:`write_json`, and every one it reads
+through :func:`read_json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -19,6 +23,40 @@ from .models import (GmmData, LogisticData, ModelInstance, ModelTemplate,
                      PoissonData, Prior)
 
 _FMT = "%.17g"
+
+
+def to_jsonable(obj):
+    """Plain JSON data for ``obj``.
+
+    An object with a ``to_json`` method (``Prior``, ``GoodSet``) gives that
+    document; any other dataclass gives its fields in declaration order.
+    Arrays and NumPy scalars become lists and Python numbers, tuples become
+    lists, and dicts and lists are converted item by item. Anything else is
+    returned as is, for ``json`` to accept or reject.
+    """
+    if hasattr(obj, "to_json"):
+        return to_jsonable(obj.to_json())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: to_jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(value) for value in obj]
+    return obj
+
+
+def write_json(path, obj) -> None:
+    """Write ``to_jsonable(obj)`` with a two-space indent. The text is built
+    before the file is opened, so an object JSON cannot hold leaves no file."""
+    Path(path).write_text(json.dumps(to_jsonable(obj), indent=2))
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _write_csv(path, header: list[str], rows: np.ndarray) -> None:
@@ -43,10 +81,8 @@ def save_dataset(model: ModelInstance, path) -> None:
     data = model.data
     if isinstance(data, GmmData):
         _write_csv(path, [f"x_{j}" for j in range(data.m)], data.X)
-        sidecar = {"weights": data.weights.tolist(),
-                   "covariances": data.covariances.tolist()}
-        with open(path.with_suffix(path.suffix + ".mixture.json"), "w") as fh:
-            json.dump(sidecar, fh, indent=2)
+        write_json(path.with_suffix(path.suffix + ".mixture.json"),
+                   {"weights": data.weights, "covariances": data.covariances})
         return
     X = data.A if isinstance(data, PoissonData) else data.X
     header = [f"x_{j}" for j in range(X.shape[1])] + ["y"]
@@ -59,9 +95,7 @@ def load_dataset(kind: str, path, *, T: float = 1.0,
     path = Path(path)
     header, body = _read_csv(path)
     if kind == "gmm":
-        sidecar_path = path.with_suffix(path.suffix + ".mixture.json")
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
+        sidecar = read_json(path.with_suffix(path.suffix + ".mixture.json"))
         data = GmmData(X=body, weights=np.asarray(sidecar["weights"]),
                        covariances=np.asarray(sidecar["covariances"]))
     elif kind == "logistic":
@@ -82,19 +116,17 @@ def save_model_config(template: ModelTemplate, seed: int, path) -> None:
            "d": int(np.asarray(template.theta_star).size),
            "n": template.n,
            "seed": int(seed),
-           "theta_star": np.asarray(template.theta_star, dtype=float).tolist(),
-           "prior": template.prior.to_json()}
+           "theta_star": np.asarray(template.theta_star, dtype=float),
+           "prior": template.prior}
     if template.weights is not None:
-        doc["weights"] = np.asarray(template.weights).tolist()
+        doc["weights"] = np.asarray(template.weights)
     if template.covariances is not None:
-        doc["covariances"] = np.asarray(template.covariances).tolist()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        doc["covariances"] = np.asarray(template.covariances)
+    write_json(path, doc)
 
 
 def load_model_config(path) -> tuple[ModelTemplate, int]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     for key in ("kind", "d", "n", "seed", "theta_star", "prior"):
         if key not in doc:
             raise ConfigError(f"model config missing field {key!r}")

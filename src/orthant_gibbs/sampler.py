@@ -15,7 +15,6 @@ good-set boundary is approximated by projection.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import io
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .geometry import GoodSet, contains_many, project_good_set, project_orthant
 from .rng import make_rng
@@ -69,18 +69,6 @@ class SamplerConfig:
             return lambda x: project_good_set(gs, x)
         return project_orthant
 
-    def to_json(self) -> dict:
-        return {
-            "step_size": self.step_size,
-            "n_steps": self.n_steps,
-            "burn_in": self.burn_in,
-            "projection": ("orthant" if isinstance(self.projection, str)
-                           else {"good_set": self.projection.to_json()}),
-            "init": None if self.init is None else np.asarray(self.init).tolist(),
-            "seed": self.seed,
-            "thin": self.thin,
-        }
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -100,10 +88,9 @@ class Chain:
         return np.column_stack([self.samples, self.log_posterior])
 
     def _write_meta(self, path) -> None:
-        meta = {"config": self.config.to_json(), "seed": self.config.seed,
-                "runtime_ms": self.runtime_ms}
-        with open(str(path) + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2)
+        io.write_json(str(path) + ".meta.json",
+                      {"config": self.config, "seed": self.config.seed,
+                       "runtime_ms": self.runtime_ms})
 
     def export_csv(self, path) -> None:
         """One row per kept step, columns theta_0..theta_{d-1}, log_post."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthant_gibbs import assumptions, geometry, models
+from orthant_gibbs import assumptions, geometry, io, models
 from orthant_gibbs.errors import ConfigError
 from orthant_gibbs.mode import find_mode_local
 from orthant_gibbs.rng import make_rng
@@ -325,7 +325,7 @@ def test_assumption_report_roundtrip(tmp_path, logistic_model):
     region = region_for(logistic_model, result.theta_hat, grid=20)
     report = assumptions.estimate_constants(logistic_model, region)
     path = tmp_path / "report.json"
-    report.save(path)
+    io.write_json(path, report)
     import json
     doc = json.loads(path.read_text())
     assert doc["grid"] == 20 and "C_PI_bound" in doc

@@ -222,6 +222,39 @@ def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mode", "--tol", "nan"],
+    ["mode", "--tol", 0],
+    ["check", "--tau", "nan"],
+    ["check", "--tau", 0],
+])
+def test_bad_tolerance_exits_2(tmp_path, sim_dir, capsys, argv):
+    # a NaN or non-positive --tol is never met; a NaN --tau puts every
+    # coordinate in S0 and reports a finite bound beside C_S1_hat = NaN
+    mode_path = tmp_path / "mode.json"
+    assert run(["mode", "--model-config", sim_dir / "model.json",
+                "--out", mode_path]) == 0
+    if argv[0] == "check":
+        argv = argv + ["--mode-result", mode_path, "--grid", 10]
+    out = tmp_path / "out.json"
+    assert run(argv + ["--model-config", sim_dir / "model.json", "--out", out]) == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gmm_with_no_components_exits_2(tmp_path, capsys):
+    assert run(["simulate", "--model", "gmm", "--k", 0, "--n", 10,
+                "--theta-star", "[1,1]", "--out", tmp_path / "sim"]) == 2
+    assert "k=0" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+    config = tmp_path / "k0.json"
+    config.write_text(json.dumps({"k": 0}))
+    out = tmp_path / "run"
+    assert run(["ess", "--model", "gmm", "--config", config, "--out", out]) == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_gmm_without_weights_beyond_defaults_exits_2(tmp_path, capsys):
     assert run(["simulate", "--model", "gmm", "--k", 3, "--n", 50,
                 "--theta-star", "[1,1,1,2,2,2]", "--out", tmp_path / "sim"]) == 2

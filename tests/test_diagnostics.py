@@ -7,7 +7,7 @@ from scipy.fft import next_fast_len
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
-from orthant_gibbs import diagnostics, geometry
+from orthant_gibbs import diagnostics, geometry, io
 from orthant_gibbs.errors import (ConfigError, DegenerateChainError, NumericalError,
                                   RangeError)
 
@@ -57,7 +57,7 @@ def test_ess_report_shapes():
     assert report.per_coordinate.shape == (3,)
     assert report.n_chains == 2 and report.n_kept == 500
     assert report.llr_ess > 0
-    assert "per_coordinate" in report.to_json()
+    assert "per_coordinate" in io.to_jsonable(report)
 
 
 def _ar1_columns(seed, n_chains, n_draws, rhos, n_tied):

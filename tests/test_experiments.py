@@ -100,6 +100,6 @@ def test_gmm_template_needs_weights_beyond_the_defaults(tmp_path):
     with pytest.raises(ConfigError, match="k=4"):
         experiments.run_ess_study(config)
     assert not (tmp_path / config.run_tag()).exists()  # no trial ran
-    mixture = experiments.gmm_mixture(4, 2, weights=[1.0, 1.0, 1.0, 1.0])
+    mixture = experiments.gmm_mixture(4, 8, weights=[1.0, 1.0, 1.0, 1.0])
     np.testing.assert_array_equal(mixture["weights"], [0.25] * 4)
     assert mixture["covariances"].shape == (4, 2, 2)

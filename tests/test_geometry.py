@@ -52,6 +52,13 @@ def test_build_good_set_r0_formula_matches_spec_example():
     assert gs.r0 == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), 0.0, -1e-6, float("inf")])
+def test_split_coordinates_rejects_a_bad_threshold(tau):
+    # a NaN tau would put every coordinate in S0, an infinite one all in S1
+    with pytest.raises(ConfigError, match="tau"):
+        geometry.split_coordinates(np.array([1.0, 0.0]), tau)
+
+
 def test_default_deltas():
     delta0, delta1 = geometry.default_deltas(d1=3, eps=0.05)
     assert delta0 == pytest.approx(np.log(1 / 0.05))

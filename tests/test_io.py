@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from orthant_gibbs import io, models
+from orthant_gibbs import geometry, io, models, sampler
+from orthant_gibbs.assumptions import AssumptionReport
 from orthant_gibbs.errors import ConfigError
+from orthant_gibbs.mode import ModeResult
 
 from oracles import write_csv_reference
 
@@ -114,3 +117,70 @@ def test_load_dataset_rejects_non_finite_values(tmp_path, fixture, request):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="finite"):
         io.load_dataset(model.kind, path)
+
+
+def _chain(config):
+    return sampler.Chain(samples=np.array([[1.0, 0.5], [0.75, 0.0]]),
+                         log_posterior=np.array([-1.0, -2.5]), config=config,
+                         runtime_ms=1.5)
+
+
+@pytest.mark.parametrize("export", ["export_npy", "export_csv"])
+def test_chain_sidecar_takes_a_numpy_seed(tmp_path, export):
+    # a seed taken from np.arange is an np.int64, which json cannot encode
+    config = sampler.SamplerConfig(step_size=0.1, n_steps=2, seed=np.int64(3))
+    path = tmp_path / "chain"
+    getattr(_chain(config), export)(path)
+    with open(str(path) + ".meta.json") as fh:
+        meta = json.load(fh)
+    assert meta["seed"] == 3 and meta["config"]["seed"] == 3
+
+
+def test_write_json_leaves_no_file_for_an_object_json_cannot_hold(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        io.write_json(path, object())
+    assert not path.exists()
+
+
+def test_write_json_bytes_match_the_explicit_documents(tmp_path):
+    split = geometry.CoordinateSplit(S0=[0], S1=[1])
+    gs = geometry.build_good_set(np.array([1.5, 0.25]), split, 2.0, 3.0, 100)
+    config = sampler.SamplerConfig(step_size=1e-3, n_steps=4, burn_in=1,
+                                   init=np.array([1.0, 0.5]), seed=9, thin=2)
+    cases = [
+        (ModeResult(theta_hat=np.array([1.5, 0.0]), objective=-0.25,
+                    grad_norm=1e-9, iterations=7, converged=True),
+         {"theta_hat": [1.5, 0.0], "objective": -0.25, "grad_norm": 1e-9,
+          "iterations": 7, "converged": True, "restarts_used": 0}),
+        (AssumptionReport(c_S0_hat=0.5, C_S1_hat=math.nan, s2_hat=2.0,
+                          osc_bound=0.125, C_PI_bound=math.inf, grid=20, seed=4),
+         {"c_S0_hat": 0.5, "C_S1_hat": math.nan, "s2_hat": 2.0,
+          "osc_bound": 0.125, "C_PI_bound": math.inf, "grid": 20, "seed": 4}),
+        (gs,
+         {"center": [1.5, 0.0], "S0": [0], "S1": [1], "delta0": 2.0,
+          "delta1": 3.0, "n": 100, "r0": gs.r0, "r1": gs.r1}),
+    ]
+    for obj, doc in cases:
+        io.write_json(tmp_path / "doc.json", obj)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2)
+
+    _chain(config).export_npy(tmp_path / "chain.npy")
+    sidecar = {"config": {"step_size": 1e-3, "n_steps": 4, "burn_in": 1,
+                          "projection": "orthant", "init": [1.0, 0.5],
+                          "seed": 9, "thin": 2},
+               "seed": 9, "runtime_ms": 1.5}
+    written = (tmp_path / "chain.npy.meta.json").read_text()
+    assert written == json.dumps(sidecar, indent=2)
+
+
+def test_good_set_chain_sidecar_holds_the_good_set_document(tmp_path):
+    gs = geometry.build_good_set(np.array([1.5, 0.0]),
+                                 geometry.CoordinateSplit(S0=[0], S1=[1]),
+                                 2.0, 3.0, 100)
+    config = sampler.SamplerConfig(step_size=0.1, n_steps=2, projection=gs)
+    _chain(config).export_npy(tmp_path / "chain.npy")
+    meta = io.read_json(tmp_path / "chain.npy.meta.json")
+    assert meta["config"]["projection"] == gs.to_json()
+    again = geometry.GoodSet.from_json(meta["config"]["projection"])
+    assert (again.r0, again.r1, again.n) == (gs.r0, gs.r1, gs.n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthant_gibbs import models
+from orthant_gibbs import io, models
 from orthant_gibbs.errors import ConfigError
 from orthant_gibbs.mode import (ModeResult, find_mode_global, find_mode_local,
                                 maximize_projected)
@@ -96,6 +96,15 @@ def test_global_rejects_empty_box(gmm_model):
         find_mode_global(gmm_model, (np.ones(4), np.zeros(4)))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8, float("inf")])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # a NaN or non-positive tol is never met: the ascent would spend every
+    # iteration and report converged=False
+    fun, grad = quadratic([1.0, 0.0])
+    with pytest.raises(ConfigError, match="tol"):
+        maximize_projected(fun, grad, np.ones(2), tol=tol)
+
+
 def test_nonregular_coordinate_recovery():
     # logistic d=5, theta* = (1,1,1,1,0): at n=5000 the boundary coordinate's
     # MLE should sit at zero in most trials
@@ -114,5 +123,5 @@ def test_nonregular_coordinate_recovery():
 def test_mode_result_json():
     result = ModeResult(theta_hat=np.array([1.0]), objective=-1.0,
                         grad_norm=1e-9, iterations=3, converged=True)
-    doc = result.to_json()
+    doc = io.to_jsonable(result)
     assert doc["theta_hat"] == [1.0] and doc["converged"] is True
