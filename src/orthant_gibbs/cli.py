@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assumptions, diagnostics, experiments, geometry, io, models, sampler
-from .errors import OrthantGibbsError
+from .errors import ConfigError, OrthantGibbsError
 from .mode import find_mode_global, find_mode_local
 
 EXIT_OK = 0
@@ -41,7 +42,11 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None = None) -> int:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.asarray(json.loads(text), dtype=float).ravel()
+    """A non-empty flat JSON array of numbers as a 1-D float array."""
+    vector = np.asarray(json.loads(text), dtype=float)
+    if vector.ndim != 1 or vector.size == 0:
+        raise ConfigError(f"expected a non-empty flat JSON array, got {text!r}")
+    return vector
 
 
 def _load_model(args) -> tuple[models.ModelInstance, models.ModelTemplate, int]:
@@ -93,6 +98,11 @@ def cmd_mode(args) -> int:
 
 
 def cmd_check(args) -> int:
+    for flag in ("min_c_s0", "min_c_s1", "max_c_pi"):
+        value = getattr(args, flag)
+        if value is not None and math.isnan(value):
+            # every comparison with NaN fails: the check could never pass
+            raise ConfigError(f"--{flag.replace('_', '-')} must not be NaN")
     model, template, seed = _load_model(args)
     theta_hat = np.asarray(io.read_json(args.mode_result)["theta_hat"], dtype=float)
     split, center = geometry.split_coordinates(theta_hat, args.tau)
@@ -230,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--global", dest="model_kind_global", action="store_true",
                    help="force the multi-start global search")
-    p.add_argument("--bounds", help="JSON [[lo...],[hi...]] for the global search")
+    p.add_argument("--bounds", help="JSON [[lo...],[hi...]]: the box the global "
+                   "search draws its starts from")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="mode result JSON path")
     p.set_defaults(func=cmd_mode)

@@ -164,7 +164,7 @@ def _warm_start_point(config: ExperimentConfig, model: models.ModelInstance,
         span = max(1.0, float(np.max(model.theta_star))) + 2.0
         bounds = (np.zeros(config.d), np.full(config.d, span))
         result = find_mode_global(model, bounds, seed=trial_seed, tol=1e-6,
-                                  n_restarts=4, n_anneal=500)
+                                  n_restarts=4)
     else:
         init = np.maximum(model.theta_star + 0.1, 0.5)
         result = find_mode_local(model, init, tol=1e-8)
@@ -258,6 +258,8 @@ def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
 def run_coverage_study(config: ExperimentConfig, theta_star=None,
                        level: float = 0.95) -> Path:
     """Run trials and write the per-coordinate coverage table."""
+    if not 0 < level < 1:
+        raise ConfigError(f"level must lie in (0, 1), got {level}")
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)

@@ -183,30 +183,20 @@ def _l2(diff):
 
 
 def contains(gs: GoodSet, theta) -> bool:
-    """Closed-set membership with exact comparisons.
+    """Membership of one point: the one-row case of :func:`contains_many`."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != gs.center.shape:
+        raise ShapeError("theta dimension does not match the good set")
+    return bool(contains_many(gs, theta[None])[0])
+
+
+def contains_many(gs: GoodSet, thetas) -> np.ndarray:
+    """Closed-set membership of each row of a (rows x d) sample matrix, with
+    exact comparisons; a row holding NaN is outside.
 
     Reads only ``center``, ``split``, ``r0`` and ``r1``, so an
     ``assumptions.RegionSpec`` can stand in for the good set.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != gs.center.shape:
-        raise ShapeError("theta dimension does not match the good set")
-    if np.any(theta < 0):
-        return False
-    if gs.split.d0 > 0:
-        dist = _l2(theta[gs.split.S0] - gs.center[gs.split.S0])
-        if dist > gs.r0:
-            return False
-    if gs.split.d1 > 0:
-        if np.max(np.abs(theta[gs.split.S1] - gs.center[gs.split.S1])) > gs.r1:
-            return False
-    return True
-
-
-def contains_many(gs: GoodSet, thetas) -> np.ndarray:
-    """Vectorized membership for a (rows x d) sample matrix; row by row the
-    same decisions as :func:`contains`, and like it reads only ``center``,
-    ``split``, ``r0`` and ``r1``."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != gs.center.shape[0]:
         raise ShapeError("sample dimension does not match the good set")

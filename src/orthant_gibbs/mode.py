@@ -2,15 +2,15 @@
 
 ``maximize_projected`` is a projected gradient ascent with Armijo
 backtracking; ``find_mode_local`` applies it to a model's (normalized) log
-posterior. ``find_mode_global`` runs multi-start simulated annealing inside a
-bounding box and polishes the best state locally, for multi-modal targets
-such as the Gaussian mixture.
+posterior. ``find_mode_global`` runs that ascent from several uniform starts
+in a box and keeps the best result, for multi-modal targets such as the
+Gaussian mixture.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,11 +24,6 @@ ARMIJO = 1e-4
 BACKTRACK = 0.5
 MIN_STEP = 1e-20
 MAX_ITER = 10_000
-# annealing: initial temperature, its factor per step, and the proposal
-# scale as a fraction of the box width
-TEMPERATURE = 1.0
-COOLING = 0.995
-PROPOSAL_FRAC = 0.1
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,9 @@ def maximize_projected(fun: Callable, grad: Callable, x0, *,
     values shrink the step instead of propagating. Convergence is declared on
     the unit-step projected-gradient residual ||x - P(x + grad)|| <= tol,
     which also vanishes at boundary modes where the raw gradient does not;
-    ``tol`` must be finite and positive, or no residual could meet it.
+    ``tol`` must be finite and positive, or no residual could meet it. When
+    no step moves x (backtracking fell below ``MIN_STEP``, or the accepted
+    step rounds away) the ascent stops with ``converged=False``.
     """
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
@@ -86,9 +83,13 @@ def maximize_projected(fun: Callable, grad: Callable, x0, *,
                 break
             alpha *= BACKTRACK
             if alpha < MIN_STEP:
-                # no admissible ascent step: treat as converged to tolerance failure
-                return ModeResult(theta_hat=x, objective=f, grad_norm=residual,
-                                  iterations=it, converged=False)
+                x_new = x  # no admissible ascent step
+                break
+        if np.array_equal(x_new, x):
+            # stalled above tol: a step that leaves x as it is would pass
+            # Armijo trivially at every iteration until MAX_ITER
+            return ModeResult(theta_hat=x, objective=f, grad_norm=residual,
+                              iterations=it, converged=False)
         x, f = x_new, f_new
     return ModeResult(theta_hat=x, objective=f, grad_norm=residual,
                       iterations=MAX_ITER, converged=residual <= tol)
@@ -114,41 +115,27 @@ def find_mode_local(model: models.ModelInstance, init, *,
 
 
 def find_mode_global(model: models.ModelInstance, bounds, *, n_restarts: int = 10,
-                     n_anneal: int = 2000, seed: int = 0,
-                     tol: float = 1e-8) -> ModeResult:
-    """Multi-start annealing inside ``bounds`` followed by a local polish.
+                     seed: int = 0, tol: float = 1e-8) -> ModeResult:
+    """Best of ``n_restarts`` projected ascents from uniform starts in ``bounds``.
 
-    ``bounds`` is a (lo, hi) pair of length-d arrays; the search box is
-    intersected with the orthant. Deterministic for a fixed seed. Annealing
-    hyperparameters are artifact defaults (the method only needs a state in
-    the basin of the dominant mode).
+    ``bounds`` is a (lo, hi) pair of length-d arrays, intersected with the
+    orthant; it bounds only the starts (restart r draws its start from
+    ``make_rng(seed, r)``), not the ascents. The highest objective wins and a
+    tie keeps the earlier restart, so the result is deterministic for a
+    fixed seed.
     """
     lo = np.maximum(np.asarray(bounds[0], dtype=float), 0.0)
     hi = np.asarray(bounds[1], dtype=float)
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ConfigError("bounding box is empty")
-    width = hi - lo
+    # NaN fails lo < hi, and an infinite hi leaves no uniform law to draw from
+    if lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(hi)):
+        raise ConfigError("bounding box must be finite and non-empty")
+    if n_restarts < 1:
+        raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
     fun, grad = _posterior_objective(model)
-
-    best_x, best_f = None, -math.inf
+    best = None
     for r in range(n_restarts):
-        rng = make_rng(seed, r)
-        x = rng.uniform(lo, hi)
-        f = _safe_value(fun, x)
-        temp = TEMPERATURE
-        for _ in range(n_anneal):
-            prop = np.clip(x + PROPOSAL_FRAC * width * rng.standard_normal(x.size), lo, hi)
-            f_prop = _safe_value(fun, prop)
-            delta = f_prop - f
-            if delta > 0 or (math.isfinite(delta) and rng.random() < math.exp(delta / temp)):
-                x, f = prop, f_prop
-            temp *= COOLING
-        if f > best_f:
-            best_x, best_f = x, f
-
-    if best_x is None:
-        raise ConfigError("annealing found no finite objective value in the box")
-    polished = maximize_projected(fun, grad, best_x, tol=tol)
-    return ModeResult(theta_hat=polished.theta_hat, objective=polished.objective,
-                      grad_norm=polished.grad_norm, iterations=polished.iterations,
-                      converged=polished.converged, restarts_used=n_restarts)
+        result = maximize_projected(fun, grad, make_rng(seed, r).uniform(lo, hi),
+                                    tol=tol)
+        if best is None or result.objective > best.objective:
+            best = result
+    return replace(best, restarts_used=n_restarts)

@@ -68,7 +68,7 @@ def _mode_and_region(model, grid=200):
         span = float(np.max(model.theta_star)) + 2.0
         result = find_mode_global(model, (np.zeros(model.d),
                                           np.full(model.d, span)),
-                                  seed=0, n_restarts=4, n_anneal=500, tol=1e-8)
+                                  seed=0, n_restarts=4, tol=1e-8)
     else:
         result = find_mode_local(model, np.abs(model.theta_star) + 0.1,
                                  tol=1e-9)

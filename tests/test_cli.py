@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import orthant_gibbs
-from orthant_gibbs import cli, experiments
+from orthant_gibbs import assumptions, cli, experiments
 
 
 def run(argv):
@@ -214,6 +214,8 @@ def test_mode_exits_2_on_a_non_finite_prior_rate(tmp_path, sim_dir, capsys):
     ["ess", "--step", 0],
     ["ess", "--step", "nan"],
     ["coverage", "--n-trials", 0],
+    ["coverage", "--level", 1.5],
+    ["coverage", "--level", "nan"],
 ])
 def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):
     out = tmp_path / "run"
@@ -225,6 +227,7 @@ def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["mode", "--tol", "nan"],
     ["mode", "--tol", 0],
+    ["mode", "--global", "--tol", "nan"],
     ["check", "--tau", "nan"],
     ["check", "--tau", 0],
 ])
@@ -239,6 +242,48 @@ def test_bad_tolerance_exits_2(tmp_path, sim_dir, capsys, argv):
     out = tmp_path / "out.json"
     assert run(argv + ["--model-config", sim_dir / "model.json", "--out", out]) == 2
     assert "must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--min-c-s0", "--min-c-s1", "--max-c-pi"])
+def test_nan_check_threshold_exits_2_before_the_estimate(tmp_path, sim_dir, capsys,
+                                                         monkeypatch, flag):
+    # no estimate can pass a NaN threshold, so exit 1 would be a false verdict
+    mode_path = tmp_path / "mode.json"
+    assert run(["mode", "--model-config", sim_dir / "model.json",
+                "--out", mode_path]) == 0
+
+    def estimate(*args, **kwargs):
+        raise AssertionError("the estimate ran")
+
+    monkeypatch.setattr(assumptions, "estimate_constants", estimate)
+    out = tmp_path / "check.json"
+    assert run(["check", "--model-config", sim_dir / "model.json",
+                "--mode-result", mode_path, flag, "nan", "--out", out]) == 2
+    assert "must not be NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--theta-star", "[]"),
+    ("--theta-star", "[[1,0],[1,1]]"),
+    ("--theta-star", "1"),
+    ("--weights", "[[1],[1]]"),
+])
+def test_simulate_rejects_a_vector_that_is_not_flat(tmp_path, capsys, flag, text):
+    argv = {"--theta-star": "[1,1,4,0]", "--weights": "[1,1]", flag: text}
+    out = tmp_path / "sim"
+    assert run(["simulate", "--model", "gmm", "--n", 20, "--out", out,
+                *(a for pair in argv.items() for a in pair)]) == 2
+    assert "non-empty flat JSON array" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_rejects_a_nested_init(tmp_path, sim_dir, capsys):
+    out = tmp_path / "chain.csv"
+    assert run(["sample", "--model-config", sim_dir / "model.json", "--step", 1e-3,
+                "--steps", 10, "--init", "[[1,1,0]]", "--out", out]) == 2
+    assert "non-empty flat JSON array" in capsys.readouterr().err
     assert not out.exists()
 
 

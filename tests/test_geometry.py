@@ -115,9 +115,13 @@ def test_contains_many_matches_scalar():
     gs = make_good_set()
     rng = np.random.default_rng(0)
     thetas = np.abs(gs.center + 0.1 * rng.standard_normal((50, 4)))
+    # a NaN in the S0 block, the S1 block, or the whole row is outside
+    thetas = np.vstack([thetas, [np.nan, 2.0, 0.0, 0.0], [1.0, 2.0, np.nan, 0.0],
+                        np.full(4, np.nan)])
     many = geometry.contains_many(gs, thetas)
     singles = np.array([geometry.contains(gs, t) for t in thetas])
     np.testing.assert_array_equal(many, singles)
+    assert not many[-3:].any()
 
 
 def test_good_set_json_roundtrip(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from orthant_gibbs import io, models
+from orthant_gibbs import experiments, io, models
 from orthant_gibbs.errors import ConfigError
 from orthant_gibbs.mode import (ModeResult, find_mode_global, find_mode_local,
                                 maximize_projected)
+from orthant_gibbs.rng import make_rng
 
 
 def quadratic(a):
@@ -63,7 +64,7 @@ def test_global_matches_local_on_unimodal(logistic_model):
     local = find_mode_local(logistic_model, np.ones(3), tol=1e-10)
     bounds = (np.zeros(3), np.full(3, 4.0))
     swept = find_mode_global(logistic_model, bounds, seed=1, n_restarts=3,
-                             n_anneal=300, tol=1e-10)
+                             tol=1e-10)
     assert abs(swept.objective - local.objective) <= 1e-6
 
 
@@ -75,8 +76,7 @@ def test_global_gmm_recovers_means():
                                 weights=np.array([0.5, 0.5]),
                                 covariances=np.stack([np.eye(1), np.eye(1)]))
         result = find_mode_global(model, (np.zeros(2), np.full(2, 6.0)),
-                                  seed=seed, n_restarts=6, n_anneal=400,
-                                  tol=1e-6)
+                                  seed=seed, n_restarts=6, tol=1e-6)
         est = np.sort(result.theta_hat)
         if np.all(np.abs(est - truth) < 0.3):
             hits += 1
@@ -85,8 +85,8 @@ def test_global_gmm_recovers_means():
 
 def test_global_is_deterministic(gmm_model):
     bounds = (np.zeros(4), np.full(4, 6.0))
-    a = find_mode_global(gmm_model, bounds, seed=5, n_restarts=3, n_anneal=200)
-    b = find_mode_global(gmm_model, bounds, seed=5, n_restarts=3, n_anneal=200)
+    a = find_mode_global(gmm_model, bounds, seed=5, n_restarts=3)
+    b = find_mode_global(gmm_model, bounds, seed=5, n_restarts=3)
     np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
     assert a.objective == b.objective
 
@@ -94,6 +94,60 @@ def test_global_is_deterministic(gmm_model):
 def test_global_rejects_empty_box(gmm_model):
     with pytest.raises(ConfigError):
         find_mode_global(gmm_model, (np.ones(4), np.zeros(4)))
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, float("nan")), (float("nan"), 1.0),
+                                   (0.0, float("inf"))])
+def test_global_rejects_a_box_with_no_uniform_law(gmm_model, lo, hi):
+    # uniform(lo, hi) would raise OverflowError, which is no OrthantGibbsError:
+    # the CLI would exit 1 ("check failed") with a traceback, not 2
+    with pytest.raises(ConfigError, match="bounding box"):
+        find_mode_global(gmm_model, (np.full(4, lo), np.full(4, hi)))
+
+
+def test_global_needs_a_restart(gmm_model):
+    with pytest.raises(ConfigError, match="n_restarts"):
+        find_mode_global(gmm_model, (np.zeros(4), np.ones(4)), n_restarts=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gmm_warm_start_reaches_the_ascent_from_the_truth(seed):
+    # the asymptotic study's gmm warm start; at seed 2 a worse local mode
+    # (objective -7.9728) lies beside the one the truth ascends to (-7.6950)
+    config = experiments.preset_config("asymptotic", "gmm")
+    model = experiments.build_template(config).simulate(seed)
+    theta = experiments._warm_start_point(config, model, seed)
+    local = find_mode_local(model, model.theta_star, tol=1e-6)
+    assert models.log_posterior_unnorm(model, theta) / model.n >= local.objective - 1e-9
+
+
+def test_ascent_stops_when_no_step_moves_x():
+    # near this mode the residual stays just above tol (1.07e-8) and the
+    # accepted steps round to no change; such a step passes Armijo trivially,
+    # so without the stall exit the ascent would run to MAX_ITER
+    truth = np.array([1.0, 1.0, 1.0, 4.0, 4.0, 0.0])
+    model = models.simulate("gmm", truth, 800, seed=1,
+                            **experiments.gmm_mixture(2, 6))
+    stalled = find_mode_local(model, make_rng(1, 1).uniform(np.zeros(6),
+                                                             np.full(6, 6.0)))
+    assert stalled.iterations < 100
+    assert not stalled.converged or stalled.grad_norm <= 1e-8
+    assert abs(stalled.objective - find_mode_local(model, truth).objective) <= 1e-9
+
+
+def test_global_rejects_bad_tol_before_any_evaluation(gmm_model, monkeypatch):
+    calls = []
+    value = models.log_posterior_unnorm
+
+    def counted(model, theta):
+        calls.append(1)
+        return value(model, theta)
+
+    monkeypatch.setattr(models, "log_posterior_unnorm", counted)
+    with pytest.raises(ConfigError, match="tol"):
+        find_mode_global(gmm_model, (np.zeros(4), np.full(4, 6.0)),
+                         tol=float("nan"))
+    assert not calls
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8, float("inf")])
