@@ -23,7 +23,7 @@ import numpy as np
 
 from . import assumptions, diagnostics, experiments, geometry, io, models, sampler
 from .errors import ConfigError, OrthantGibbsError
-from .mode import find_mode_global, find_mode_local
+from .mode import default_box, find_mode_global, find_mode_local
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,11 +81,7 @@ def cmd_simulate(args) -> int:
 def cmd_mode(args) -> int:
     model, template, seed = _load_model(args)
     if args.model_kind_global or model.kind == "gmm":
-        span = max(1.0, float(np.max(model.theta_star))) + 2.0
-        lo = np.zeros(model.d)
-        hi = np.full(model.d, span)
-        if args.bounds:
-            lo, hi = (np.asarray(b, dtype=float) for b in json.loads(args.bounds))
+        lo, hi = json.loads(args.bounds) if args.bounds else default_box(model.theta_star)
         result = find_mode_global(model, (lo, hi), seed=seed, tol=args.tol)
     else:
         init = (np.asarray(model.theta_star, dtype=float) + 0.1

@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnostics, io, models, sampler
 from .errors import ConfigError, OrthantGibbsError
 from .geometry import split_coordinates
-from .mode import find_mode_global, find_mode_local
+from .mode import default_box, find_mode_global, find_mode_local
 from .rng import derive_seed
 
 PRESETS = ("pre_asymptotic", "asymptotic", "custom")
@@ -161,10 +161,8 @@ def _warm_start_point(config: ExperimentConfig, model: models.ModelInstance,
     if config.warm_start != "mode":
         return None
     if config.model == "gmm":
-        span = max(1.0, float(np.max(model.theta_star))) + 2.0
-        bounds = (np.zeros(config.d), np.full(config.d, span))
-        result = find_mode_global(model, bounds, seed=trial_seed, tol=1e-6,
-                                  n_restarts=4)
+        result = find_mode_global(model, default_box(model.theta_star),
+                                  seed=trial_seed, tol=1e-6, n_restarts=4)
     else:
         init = np.maximum(model.theta_star + 0.1, 0.5)
         result = find_mode_local(model, init, tol=1e-8)

@@ -114,6 +114,12 @@ def find_mode_local(model: models.ModelInstance, init, *,
     return maximize_projected(fun, grad, init, tol=tol)
 
 
+def default_box(theta_star) -> tuple[np.ndarray, np.ndarray]:
+    """The global search's default box of starts, [0, max(1, max theta*) + 2]^d."""
+    span = max(1.0, float(np.max(theta_star))) + 2.0
+    return np.zeros(len(theta_star)), np.full(len(theta_star), span)
+
+
 def find_mode_global(model: models.ModelInstance, bounds, *, n_restarts: int = 10,
                      seed: int = 0, tol: float = 1e-8) -> ModeResult:
     """Best of ``n_restarts`` projected ascents from uniform starts in ``bounds``.

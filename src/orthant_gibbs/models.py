@@ -208,6 +208,15 @@ class PoissonData:
 
 @dataclass(frozen=True)
 class GmmData:
+    """Gaussian location mixture data. The quadratic forms are expanded
+    around the data mean xbar: with u = x - xbar, v_j = mu_j - xbar and
+    b_j = P_j v_j, (x - mu_j)' P_j (x - mu_j) = c_ij - 2 u_i' b_j + b_j' v_j,
+    where the centred data U and c_ij = u_i' P_j u_i are cached once. Without
+    the centring, data far from the origin lose digits to cancellation; with
+    it the error grows only with the means' distance from xbar: the value's
+    relative error was 1e-13 with the means 1e2 apart, 7e-12 at 1e3 apart.
+    """
+
     kind: ClassVar[str] = "gmm"
     X: np.ndarray
     weights: np.ndarray
@@ -259,14 +268,20 @@ class GmmData:
         return np.array([np.linalg.slogdet(c)[1] for c in self.covariances])
 
     @cached_property
-    def prec_chols(self) -> np.ndarray:
-        """Lower Cholesky factors W_j of the precisions, W_j W_j' = P_j."""
-        return np.linalg.cholesky(self.precisions)
+    def centre(self) -> np.ndarray:
+        """The data mean xbar, shape (m,)."""
+        return self.X.mean(axis=0)
 
     @cached_property
-    def whitened(self) -> np.ndarray:
-        """X @ W_j for every component, shape (k, n, m); once per dataset."""
-        return self.X @ self.prec_chols
+    def centred(self) -> np.ndarray:
+        """U = X - xbar, shape (n, m), column-major: B U' and Gamma U then
+        read U' as a contiguous (m, n) array, three times faster for B U'."""
+        return np.asfortranarray(self.X - self.centre)
+
+    @cached_property
+    def centred_quads(self) -> np.ndarray:
+        """c_ij = u_i' P_j u_i, shape (k, n)."""
+        return np.einsum("nm,knm->kn", self.centred, self.centred @ self.precisions)
 
 
 @dataclass(frozen=True)
@@ -317,7 +332,7 @@ class ModelInstance:
 
 # Each kind has one pass over the data that computes what its value, gradient
 # and Hessian share: eta = X theta for logistic, the rates A theta for
-# Poisson, the whitened residuals and log-components for the gmm. The value,
+# Poisson, the responsibilities and log-sum-exps for the gmm. The value,
 # gradient and Hessian kernels start from that pass, so a fused value and
 # gradient computes it once.
 
@@ -380,32 +395,19 @@ def _poisson_hess(data: PoissonData, rates: np.ndarray) -> np.ndarray:
     return _weighted_gram(data.A, w)
 
 
-def _gmm_residuals(data: GmmData, mu: np.ndarray) -> np.ndarray:
-    """Whitened residuals r_ij = (x_i - mu_j) W_j, shape (k, n, m).
-
-    (x - mu_j)' P_j (x - mu_j) = |r_j|^2 and P_j (x - mu_j) = W_j r_j, so with
-    X @ W_j cached an evaluation costs O(n m + m^2) per component.
-    """
-    return data.whitened - mu[:, None, :] @ data.prec_chols
-
-
-def _gmm_log_components(data: GmmData, resid: np.ndarray) -> np.ndarray:
-    """Per-observation log(w_j * N(x_i | mu_j, Sigma_j)), shape (n, k)."""
-    quad = np.einsum("knm,knm->kn", resid, resid)  # row dots, no (k, n, m) temporary
-    norm = (data.m * _LOG_2PI + data.log_dets)[:, None]
-    return (np.log(data.weights)[:, None] - 0.5 * (norm + quad)).T
-
-
-def _gmm_pass(data: GmmData, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened residuals and log-components at the stacked means ``theta``."""
-    resid = _gmm_residuals(data, theta.reshape(data.k, data.m))
-    return resid, _gmm_log_components(data, resid)
-
-
-def _softmax_rows(logc: np.ndarray) -> np.ndarray:
-    shift = logc.max(axis=1, keepdims=True)
-    w = np.exp(logc - shift)
-    return w / w.sum(axis=1, keepdims=True)
+def _gmm_pass(data: GmmData, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centred means v = mu - xbar, responsibilities (k, n) and per-point
+    log-likelihoods at the stacked means ``theta``, from the expansion of
+    ``GmmData`` (one product U b_j per component; its error grows with the
+    means' distance from xbar), with max, exp and sum over the components."""
+    v = theta.reshape(data.k, data.m) - data.centre
+    b = (v[:, None, :] @ data.precisions)[:, 0]
+    quad = data.centred_quads - 2.0 * (b @ data.centred.T) + np.einsum("km,km->k", b, v)[:, None]
+    logc = (np.log(data.weights) - 0.5 * (data.m * _LOG_2PI + data.log_dets))[:, None] - 0.5 * quad
+    shift = logc.max(axis=0)
+    dens = np.exp(logc - shift)
+    total = dens.sum(axis=0)
+    return v, dens / total, shift + np.log(total)
 
 
 def gmm_responsibilities(data: GmmData, theta: np.ndarray) -> np.ndarray:
@@ -414,37 +416,31 @@ def gmm_responsibilities(data: GmmData, theta: np.ndarray) -> np.ndarray:
     Computed in log space with a max shift, so rows sum to one even when the
     component densities underflow.
     """
-    return _softmax_rows(_gmm_pass(data, _as_vector(theta, data.d))[1])
+    return _gmm_pass(data, _as_vector(theta, data.d))[1].T
 
 
 def _gmm_loglik(data: GmmData, shared) -> float:
-    logc = shared[1]
-    shift = logc.max(axis=1)
-    ll = shift + np.log(np.exp(logc - shift[:, None]).sum(axis=1))
-    return float(np.mean(ll))
+    return float(np.mean(shared[2]))
 
 
 def _gmm_grad(data: GmmData, shared) -> np.ndarray:
-    resid, logc = shared
-    gamma = _softmax_rows(logc)
-    grad = np.empty((data.k, data.m))
-    for j in range(data.k):
-        grad[j] = (gamma[:, j] @ resid[j]) @ data.prec_chols[j].T / data.n
-    return grad.ravel()
+    """Rows P_j (sum_i gamma_ij u_i - (sum_i gamma_ij) v_j) / n."""
+    v, gamma, _ = shared
+    r = gamma @ data.centred - gamma.sum(axis=1)[:, None] * v
+    return ((r[:, None, :] @ data.precisions)[:, 0] / data.n).ravel()
 
 
 def _gmm_hess(data: GmmData, shared) -> np.ndarray:
-    resid, logc = shared
-    gamma = _softmax_rows(logc)
+    v, gamma, _ = shared
     k, m, n = data.k, data.m, data.n
-    # per-observation scores P_j (x_i - mu_j), shape (k, n, m)
-    g = resid @ data.prec_chols.transpose(0, 2, 1)
+    # per-observation scores P_j (x_i - mu_j) = P_j (u_i - v_j), shape (k, n, m)
+    g = (data.centred - v[:, None, :]) @ data.precisions
     H = np.empty((k, k, m, m))
     for j in range(k):
-        w_diag = gamma[:, j] * (1.0 - gamma[:, j])
-        H[j, j] = (g[j].T * w_diag) @ g[j] / n - gamma[:, j].mean() * data.precisions[j]
+        w_diag = gamma[j] * (1.0 - gamma[j])
+        H[j, j] = (g[j].T * w_diag) @ g[j] / n - gamma[j].mean() * data.precisions[j]
         for jp in range(j + 1, k):
-            w_mix = gamma[:, j] * gamma[:, jp]
+            w_mix = gamma[j] * gamma[jp]
             block = -(g[j].T * w_mix) @ g[jp] / n
             H[j, jp] = block
             H[jp, j] = block.T

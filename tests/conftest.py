@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from orthant_gibbs import models
+from orthant_gibbs import experiments, models
 
 
 @pytest.fixture
@@ -37,3 +37,19 @@ def gmm_corr_model():
     return models.simulate("gmm", theta_star, 300, seed=7,
                            weights=np.array([0.6, 0.4]),
                            covariances=np.stack([cov_a, cov_b]))
+
+
+@pytest.fixture
+def gmm_far_model(gmm_corr_model):
+    # the same mixture with both means 1e3 from the origin: an expanded
+    # quadratic form that is not centred on the data mean loses digits here
+    data = gmm_corr_model.data
+    return models.simulate("gmm", 1e3 + gmm_corr_model.theta_star, 300, seed=7,
+                           weights=data.weights, covariances=data.covariances)
+
+
+@pytest.fixture
+def gmm_workload_model():
+    # the pre_asymptotic gmm study's inputs: k=2, m=100, n=800
+    config = experiments.preset_config("pre_asymptotic", "gmm")
+    return experiments.build_template(config).simulate(0)

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import eigsh
 
 from orthant_gibbs import (assumptions, diagnostics, experiments, geometry,
                            models, sampler)
-from orthant_gibbs.mode import find_mode_global, find_mode_local
+from orthant_gibbs.mode import default_box, find_mode_global, find_mode_local
 
 from oracles import ar1_chain, fd_gradient, fd_hessian, rel_err
 
@@ -65,9 +65,7 @@ def test_criterion_1_derivative_correctness():
 
 def _mode_and_region(model, grid=200):
     if model.kind == "gmm":
-        span = float(np.max(model.theta_star)) + 2.0
-        result = find_mode_global(model, (np.zeros(model.d),
-                                          np.full(model.d, span)),
+        result = find_mode_global(model, default_box(model.theta_star),
                                   seed=0, n_restarts=4, tol=1e-8)
     else:
         result = find_mode_local(model, np.abs(model.theta_star) + 0.1,

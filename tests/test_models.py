@@ -117,7 +117,8 @@ def test_log_posterior_and_grad_is_bitwise_the_separate_calls(fixture, prior, re
         np.testing.assert_array_equal(grad, models.grad_log_posterior_unnorm(model, theta))
 
 
-@pytest.mark.parametrize("fixture", ["gmm_model", "gmm_corr_model"])
+@pytest.mark.parametrize("fixture", ["gmm_model", "gmm_corr_model", "gmm_far_model",
+                                     "gmm_workload_model"])
 def test_gmm_matches_explicit_quadratic_form(fixture, request):
     model = request.getfixturevalue(fixture)
     data = model.data
