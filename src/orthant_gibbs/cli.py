@@ -1,9 +1,11 @@
 """Command-line interface.
 
-One subcommand per module: ``simulate`` writes datasets, ``mode`` finds the
-posterior mode, ``check`` estimates the local regularity constants, ``sample``
-runs a single projected Langevin chain, ``ess`` and ``coverage`` run the two
-batch studies, and ``gap`` runs the 1-D spectral-gap benchmarks.
+One subcommand per module: ``simulate`` writes ``dataset.npz`` and
+``model.json``, ``mode`` finds the posterior mode, ``check`` estimates the
+local regularity constants, ``sample`` runs a single projected Langevin chain,
+``ess`` and ``coverage`` run the two batch studies, and ``gap`` runs the 1-D
+spectral-gap benchmarks. ``mode``, ``check`` and ``sample`` read the dataset
+beside model.json; their seed drives the algorithm, never the data.
 
 Exit codes: 0 success, 1 assumption-check estimates below the user's
 thresholds, 2 hard errors. ``ORTHANT_GIBBS_SEED`` overrides any seed from a
@@ -28,6 +30,7 @@ from .mode import default_box, find_mode_global, find_mode_local
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+DATASET = "dataset.npz"
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None = None) -> int:
@@ -49,10 +52,20 @@ def _parse_vector(text: str) -> np.ndarray:
     return vector
 
 
-def _load_model(args) -> tuple[models.ModelInstance, models.ModelTemplate, int]:
+def _load_model(args) -> tuple[models.ModelInstance, int]:
+    """The dataset beside model.json with model.json's prior and truth, and
+    the algorithm seed: env, then ``--seed``, then model.json's seed."""
     template, seed = io.load_model_config(args.model_config)
-    seed = _resolve_seed(getattr(args, "seed", None), seed)
-    return template.simulate(seed), template, seed
+    data = io.load_dataset(Path(args.model_config).parent / DATASET)
+    for name, config, stored in (("kind", template.kind, data.kind),
+                                 ("d", template.theta_star.size, data.d),
+                                 ("n", template.n, data.n)):
+        if config != stored:
+            raise ConfigError(f"the dataset's {name} is {stored!r}, "
+                              f"but model.json says {config!r}")
+    model = models.ModelInstance(data, prior=template.prior,
+                                 theta_star=template.theta_star)
+    return model, _resolve_seed(args.seed, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +85,14 @@ def cmd_simulate(args) -> int:
     model = template.simulate(seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    io.save_dataset(model, out / "dataset.csv")
+    io.save_dataset(model, out / DATASET)
     io.save_model_config(template, seed, out / "model.json")
-    print(f"wrote {out / 'dataset.csv'} and {out / 'model.json'} (seed {seed})")
+    print(f"wrote {out / DATASET} and {out / 'model.json'} (seed {seed})")
     return EXIT_OK
 
 
 def cmd_mode(args) -> int:
-    model, template, seed = _load_model(args)
+    model, seed = _load_model(args)
     if args.model_kind_global or model.kind == "gmm":
         lo, hi = json.loads(args.bounds) if args.bounds else default_box(model.theta_star)
         result = find_mode_global(model, (lo, hi), seed=seed, tol=args.tol)
@@ -99,7 +112,7 @@ def cmd_check(args) -> int:
         if value is not None and math.isnan(value):
             # every comparison with NaN fails: the check could never pass
             raise ConfigError(f"--{flag.replace('_', '-')} must not be NaN")
-    model, template, seed = _load_model(args)
+    model, seed = _load_model(args)
     theta_hat = np.asarray(io.read_json(args.mode_result)["theta_hat"], dtype=float)
     split, center = geometry.split_coordinates(theta_hat, args.tau)
     delta0, delta1 = geometry.default_deltas(split.d1, eps=args.eps)
@@ -128,7 +141,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model, template, seed = _load_model(args)
+    model, seed = _load_model(args)
     projection: str | geometry.GoodSet = "orthant"
     if args.good_set:
         projection = geometry.GoodSet.from_json(io.read_json(args.good_set))

@@ -1,13 +1,21 @@
 """Dataset and model-config serialization, and the one JSON writer and
 reader of the package.
 
-Logistic/Poisson datasets round-trip through a single CSV with header
-``x_0,...,x_{d-1},y``. GMM datasets store the observation matrix as CSV plus
-a JSON sidecar holding the known mixture weights and covariances. A model
-config is a small JSON document {kind, d, n, seed, theta_star, prior} from
-which the dataset can be regenerated deterministically. Every JSON document
-the package writes goes through :func:`write_json`, and every one it reads
-through :func:`read_json`.
+A dataset is one ``.npz`` file (``np.savez``, no pickled objects): a
+string array ``kind`` (``logistic``, ``poisson`` or ``gmm``) and one array
+per field of that kind's data class, under the field's name:
+
+* ``logistic``: ``X`` (n, d) and labels ``Y`` (n,);
+* ``poisson``: sensitivity matrix ``A`` (n, d), rates ``Y`` (n,) and the
+  0-d exposure ``T``;
+* ``gmm``: observations ``X`` (n, m), ``weights`` (k,) and
+  ``covariances`` (k, m, m).
+
+The values are stored exactly. A model config is a small JSON document
+{kind, d, n, seed, theta_star, prior}, plus the mixture for gmm; its seed is
+the one the dataset was simulated with. Every JSON document the package
+writes goes through :func:`write_json`, and every one it reads through
+:func:`read_json`.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .models import (GmmData, LogisticData, ModelInstance, ModelTemplate,
                      PoissonData, Prior)
 
-_FMT = "%.17g"
+_DATA_CLASSES = {cls.kind: cls for cls in (LogisticData, PoissonData, GmmData)}
 
 
 def to_jsonable(obj):
@@ -59,56 +67,28 @@ def read_json(path):
         return json.load(fh)
 
 
-def _write_csv(path, header: list[str], rows: np.ndarray) -> None:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != len(header):
-        raise ShapeError("row width does not match header")
-    # CRLF line ends, as the csv module writes them
-    np.savetxt(path, rows, fmt=_FMT, delimiter=",", header=",".join(header),
-               comments="", newline="\r\n")
-
-
-def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return header, body
-
-
 def save_dataset(model: ModelInstance, path) -> None:
-    """Write the model's dataset; GMM adds ``<path>.mixture.json``."""
-    path = Path(path)
+    """Write the model's dataset to ``path`` as the ``.npz`` file described
+    above (the name is used as given)."""
     data = model.data
-    if isinstance(data, GmmData):
-        _write_csv(path, [f"x_{j}" for j in range(data.m)], data.X)
-        write_json(path.with_suffix(path.suffix + ".mixture.json"),
-                   {"weights": data.weights, "covariances": data.covariances})
-        return
-    X = data.A if isinstance(data, PoissonData) else data.X
-    header = [f"x_{j}" for j in range(X.shape[1])] + ["y"]
-    _write_csv(path, header, np.column_stack([X, data.Y]))
+    fields = {f.name: getattr(data, f.name) for f in dataclasses.fields(data)}
+    with open(path, "wb") as fh:
+        np.savez(fh, kind=data.kind, **fields)
 
 
-def load_dataset(kind: str, path, *, T: float = 1.0,
-                 prior: Prior = Prior()) -> ModelInstance:
-    """Inverse of :func:`save_dataset` (theta_star is not stored: None)."""
-    path = Path(path)
-    header, body = _read_csv(path)
-    if kind == "gmm":
-        sidecar = read_json(path.with_suffix(path.suffix + ".mixture.json"))
-        data = GmmData(X=body, weights=np.asarray(sidecar["weights"]),
-                       covariances=np.asarray(sidecar["covariances"]))
-    elif kind == "logistic":
-        if header[-1] != "y":
-            raise ConfigError("logistic CSV must end with a 'y' column")
-        data = LogisticData(X=body[:, :-1], Y=body[:, -1])
-    elif kind == "poisson":
-        if header[-1] != "y":
-            raise ConfigError("poisson CSV must end with a 'y' column")
-        data = PoissonData(A=body[:, :-1], Y=body[:, -1], T=T)
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return ModelInstance(data=data, prior=prior)
+def load_dataset(path) -> LogisticData | PoissonData | GmmData:
+    """The data object stored by :func:`save_dataset`. Its class's own checks
+    reject non-finite values, bad labels and bad shapes."""
+    with np.load(path, allow_pickle=False) as stored:
+        kind = str(stored["kind"]) if "kind" in stored.files else None
+        if kind not in _DATA_CLASSES:
+            raise ConfigError(f"dataset {path} has unknown model kind {kind!r}")
+        cls = _DATA_CLASSES[kind]
+        names = [f.name for f in dataclasses.fields(cls)]
+        missing = [name for name in names if name not in stored.files]
+        if missing:
+            raise ConfigError(f"{kind} dataset {path} is missing {missing}")
+        return cls(**{name: stored[name] for name in names})
 
 
 def save_model_config(template: ModelTemplate, seed: int, path) -> None:
@@ -131,8 +111,12 @@ def load_model_config(path) -> tuple[ModelTemplate, int]:
         if key not in doc:
             raise ConfigError(f"model config missing field {key!r}")
     theta_star = np.asarray(doc["theta_star"], dtype=float)
-    if theta_star.size != doc["d"]:
-        raise ShapeError("theta_star length does not match d")
+    if theta_star.shape != (doc["d"],):
+        raise ConfigError(f"theta_star has shape {theta_star.shape}, but d is {doc['d']}")
+    if not np.all(np.isfinite(theta_star) & (theta_star >= 0)):
+        raise ConfigError("theta_star must be finite and non-negative")
+    if int(doc["n"]) < 1:
+        raise ConfigError(f"n must be >= 1, got {doc['n']}")
     kwargs = {}
     if doc.get("weights") is not None:
         kwargs["weights"] = np.asarray(doc["weights"], dtype=float)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import orthant_gibbs
-from orthant_gibbs import assumptions, cli, experiments
+from orthant_gibbs import assumptions, cli, experiments, io, models, sampler
 
 
 def run(argv):
@@ -25,7 +26,7 @@ def sim_dir(tmp_path):
 
 
 def test_simulate_writes_dataset_and_config(sim_dir):
-    assert (sim_dir / "dataset.csv").exists()
+    assert sorted(p.name for p in sim_dir.iterdir()) == ["dataset.npz", "model.json"]
     doc = json.loads((sim_dir / "model.json").read_text())
     assert doc["kind"] == "logistic" and doc["n"] == 300 and doc["seed"] == 5
 
@@ -184,19 +185,69 @@ def test_hard_error_exit_code(tmp_path):
                 "--out", tmp_path / "m.json"]) == 2
 
 
+def _beside_the_dataset(tmp_path, sim_dir, **change) -> Path:
+    """A copy of sim_dir's dataset with an edited model.json beside it."""
+    bad_dir = tmp_path / "edited"
+    bad_dir.mkdir()
+    shutil.copy(sim_dir / "dataset.npz", bad_dir)
+    doc = json.loads((sim_dir / "model.json").read_text())
+    (bad_dir / "model.json").write_text(json.dumps({**doc, **change}))
+    return bad_dir / "model.json"
+
+
 def test_check_exits_2_on_a_non_finite_model_config(tmp_path, sim_dir):
-    # check regenerates the dataset from model.json; a NaN there must stop
-    # it rather than give constants of a dataset nobody asked for
+    # model.json's truth warm-starts mode and is checked when it is read:
+    # a NaN there stops check before it reads the dataset beside it
     mode_path = tmp_path / "mode.json"
     assert run(["mode", "--model-config", sim_dir / "model.json",
                 "--out", mode_path]) == 0
-    doc = json.loads((sim_dir / "model.json").read_text())
-    doc["theta_star"][0] = float("nan")
-    bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(doc))  # written as the JSON literal NaN
+    # written as the JSON literal NaN
+    bad = _beside_the_dataset(tmp_path, sim_dir, theta_star=[float("nan"), 1.0, 0.0])
     assert run(["check", "--model-config", bad, "--mode-result", mode_path,
                 "--grid", 10, "--out", tmp_path / "check.json"]) == 2
     assert not (tmp_path / "check.json").exists()
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"kind": "poisson"}, "kind is 'logistic', but model.json says 'poisson'"),
+    ({"d": 4, "theta_star": [1, 1, 0, 0]}, "d is 3, but model.json says 4"),
+    ({"n": 299}, "n is 300, but model.json says 299"),
+])
+def test_exits_2_when_the_dataset_disagrees_with_model_json(tmp_path, sim_dir, capsys,
+                                                            change, message):
+    bad = _beside_the_dataset(tmp_path, sim_dir, **change)
+    assert run(["mode", "--model-config", bad, "--out", tmp_path / "mode.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "mode.json").exists()
+
+
+def test_seed_drives_the_algorithm_not_the_data(tmp_path, monkeypatch):
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--model", "logistic", "--n", 400, "--theta-star",
+                "[1,1,1,0]", "--seed", 3, "--out", sim]) == 0
+    config = sim / "model.json"
+    mode_args = ["mode", "--model-config", config, "--out"]
+    assert run(mode_args + [tmp_path / "mode.json"]) == 0
+    assert run(mode_args + [tmp_path / "flag.json", "--seed", 4]) == 0
+    monkeypatch.setenv("ORTHANT_GIBBS_SEED", "4")
+    assert run(mode_args + [tmp_path / "env.json"]) == 0
+    monkeypatch.delenv("ORTHANT_GIBBS_SEED")
+    plain = (tmp_path / "mode.json").read_bytes()
+    assert (tmp_path / "flag.json").read_bytes() == plain
+    assert (tmp_path / "env.json").read_bytes() == plain
+
+    chain_path = tmp_path / "chain.csv"
+    assert run(["sample", "--model-config", config, "--step", 1e-3, "--steps", 300,
+                "--burn-in", 100, "--seed", 4, "--out", chain_path]) == 0
+    template, _ = io.load_model_config(config)
+    model = models.ModelInstance(io.load_dataset(sim / "dataset.npz"),
+                                 prior=template.prior, theta_star=template.theta_star)
+    chain = sampler.run_chain(model, sampler.SamplerConfig(
+        step_size=1e-3, n_steps=300, burn_in=100, seed=4))
+    # %.17g reads back every double exactly
+    body = np.loadtxt(chain_path, delimiter=",", skiprows=1)
+    assert body[:, :-1].tobytes() == chain.samples.tobytes()
+    assert body[:, -1].tobytes() == chain.log_posterior.tobytes()
 
 
 def test_mode_exits_2_on_a_non_finite_prior_rate(tmp_path, sim_dir, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,56 +10,39 @@ from orthant_gibbs.assumptions import AssumptionReport
 from orthant_gibbs.errors import ConfigError
 from orthant_gibbs.mode import ModeResult
 
-from oracles import write_csv_reference
+
+def _fields(data) -> dict:
+    return {f.name: np.array(getattr(data, f.name)) for f in dataclasses.fields(data)}
+
+
+def _assert_bitwise_round_trip(tmp_path, model):
+    path = tmp_path / "dataset.npz"
+    io.save_dataset(model, path)
+    again = io.load_dataset(path)
+    assert type(again) is type(model.data)
+    stored, expected = _fields(again), _fields(model.data)
+    assert list(stored) == list(expected)
+    for name, value in expected.items():
+        assert stored[name].dtype == value.dtype and stored[name].shape == value.shape
+        assert stored[name].tobytes() == value.tobytes(), name
 
 
 def test_logistic_dataset_roundtrip(tmp_path, logistic_model):
-    path = tmp_path / "data.csv"
-    io.save_dataset(logistic_model, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x_0,x_1,x_2,y"
-    again = io.load_dataset("logistic", path)
-    np.testing.assert_array_equal(again.data.X, logistic_model.data.X)
-    np.testing.assert_array_equal(again.data.Y, logistic_model.data.Y)
+    _assert_bitwise_round_trip(tmp_path, logistic_model)
 
 
-def test_poisson_dataset_roundtrip(tmp_path, poisson_model):
-    path = tmp_path / "data.csv"
-    io.save_dataset(poisson_model, path)
-    again = io.load_dataset("poisson", path, T=poisson_model.data.T)
-    np.testing.assert_array_equal(again.data.A, poisson_model.data.A)
-    np.testing.assert_array_equal(again.data.Y, poisson_model.data.Y)
+def test_poisson_dataset_roundtrip(tmp_path):
+    # the exposure is stored too: a file of T = 2.5 does not read back T = 1
+    model = models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 200, seed=7, T=2.5)
+    _assert_bitwise_round_trip(tmp_path, model)
+    assert io.load_dataset(tmp_path / "dataset.npz").T == 2.5
 
 
-def test_gmm_dataset_roundtrip_with_sidecar(tmp_path, gmm_model):
-    path = tmp_path / "data.csv"
-    io.save_dataset(gmm_model, path)
-    sidecar = path.with_suffix(path.suffix + ".mixture.json")
-    assert sidecar.exists()
-    doc = json.loads(sidecar.read_text())
-    assert set(doc) == {"weights", "covariances"}
-    again = io.load_dataset("gmm", path)
-    np.testing.assert_array_equal(again.data.X, gmm_model.data.X)
-    np.testing.assert_array_equal(again.data.weights, gmm_model.data.weights)
-    np.testing.assert_array_equal(again.data.covariances,
-                                  gmm_model.data.covariances)
-
-
-@pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model", "gmm_model"])
-def test_dataset_csv_bytes_match_the_csv_module_writer(tmp_path, fixture, request):
-    model = request.getfixturevalue(fixture)
-    data = model.data
-    if model.kind == "gmm":
-        rows = data.X
-        header = [f"x_{j}" for j in range(data.m)]
-    else:
-        rows = np.column_stack([data.X if model.kind == "logistic" else data.A, data.Y])
-        header = [f"x_{j}" for j in range(rows.shape[1] - 1)] + ["y"]
-    io.save_dataset(model, tmp_path / "data.csv")
-    write_csv_reference(tmp_path / "reference.csv", header, rows)
-    written = (tmp_path / "data.csv").read_bytes()
-    assert written == (tmp_path / "reference.csv").read_bytes()
-    assert written.count(b"\r\n") == rows.shape[0] + 1
+@pytest.mark.parametrize("fixture", ["gmm_model", "gmm_corr_model"])
+def test_gmm_dataset_roundtrip(tmp_path, fixture, request):
+    # the weights and covariances travel in the same file, with no sidecar
+    _assert_bitwise_round_trip(tmp_path, request.getfixturevalue(fixture))
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.npz"]
 
 
 def test_model_config_roundtrip(tmp_path):
@@ -91,6 +75,22 @@ def test_model_config_rejects_a_bad_prior_rate(tmp_path, name):
         io.load_model_config(path)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"theta_star": [1.0, math.nan]}, "finite and non-negative"),
+    ({"theta_star": [math.inf, 0.0]}, "finite and non-negative"),
+    ({"theta_star": [1.0, -0.5]}, "finite and non-negative"),
+    ({"n": 0}, "n must be >= 1"),
+    ({"d": 3}, "but d is 3"),
+])
+def test_model_config_rejects_a_bad_truth_or_size(tmp_path, change, message):
+    template = models.ModelTemplate(kind="logistic", theta_star=np.array([1.0, 0.0]), n=20)
+    path = tmp_path / "model.json"
+    io.save_model_config(template, 0, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    with pytest.raises(ConfigError, match=message):
+        io.load_model_config(path)
+
+
 def test_model_config_missing_field(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "logistic", "d": 2}))
@@ -98,25 +98,39 @@ def test_model_config_missing_field(tmp_path):
         io.load_model_config(path)
 
 
-def test_load_dataset_rejects_bad_header(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("a,b\n1.0,2.0\n")
-    with pytest.raises(ConfigError):
-        io.load_dataset("logistic", path)
-
-
 @pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model", "gmm_model"])
 def test_load_dataset_rejects_non_finite_values(tmp_path, fixture, request):
-    model = request.getfixturevalue(fixture)
-    path = tmp_path / "dataset.csv"
-    io.save_dataset(model, path)
-    lines = path.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[0] = "nan"
-    lines[1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match="finite"):
-        io.load_dataset(model.kind, path)
+    data = request.getfixturevalue(fixture).data
+    path = tmp_path / "dataset.npz"
+    for bad in (np.nan, np.inf, -np.inf):
+        fields = _fields(data)
+        next(iter(fields.values()))[0, 0] = bad  # X or A
+        np.savez(path, kind=data.kind, **fields)
+        with pytest.raises(ConfigError, match="finite"):
+            io.load_dataset(path)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"kind": "probit"}, "unknown model kind 'probit'"),
+    ({"kind": None}, "unknown model kind None"),
+    ({"Y": None}, r"missing \['Y'\]"),
+])
+def test_load_dataset_rejects_an_unknown_kind_or_a_missing_field(
+        tmp_path, logistic_model, change, message):
+    doc = {"kind": "logistic", **_fields(logistic_model.data), **change}
+    path = tmp_path / "dataset.npz"
+    np.savez(path, **{key: value for key, value in doc.items() if value is not None})
+    with pytest.raises(ConfigError, match=message):
+        io.load_dataset(path)
+
+
+def test_load_dataset_refuses_pickled_objects(tmp_path, logistic_model):
+    # an object array is stored as a pickle, and unpickling can run code
+    path = tmp_path / "dataset.npz"
+    fields = _fields(logistic_model.data)
+    np.savez(path, kind="logistic", X=fields["X"].astype(object), Y=fields["Y"])
+    with pytest.raises(ValueError, match="allow_pickle"):
+        io.load_dataset(path)
 
 
 def _chain(config):
