@@ -24,23 +24,20 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import CoordinateSplit, contains_many
+from .geometry import CoordinateSplit, GoodSet, contains_many
 from .rng import make_rng
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Monte Carlo description of the region B(center, r0, r1)."""
+class RegionSpec(GoodSet):
+    """The good-set region B(center, r0, r1) with the Monte Carlo grid size
+    and seed its constants are estimated on."""
 
-    center: np.ndarray
-    split: CoordinateSplit
-    r0: float
-    r1: float
     grid: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        super().__post_init__()
         if self.grid < 1:
             raise ConfigError("grid must be >= 1")
         if self.split.d0 > 0 and self.r0 <= 0:
@@ -242,15 +239,17 @@ def concentration_sample_size(d0: int, d1: int, eps: float,
     return math.ceil(cbar4 * d0 * d1 * math.log((d0 + d1) / eps) ** 2)
 
 
+_OUTSIDE_SAMPLES = 1000
+
+
 def check_well_separation(model: models.ModelInstance, mode_result, region: RegionSpec,
-                          bounds, n_outside_samples: int = 1000,
-                          seed: int = 0) -> float:
+                          bounds, seed: int = 0) -> float:
     """Heuristic lower-confidence estimate of the separation gap zeta.
 
-    Samples uniformly from the bounding box (intersected with the orthant),
-    keeps points outside the region, and returns the minimum of
-    loglik(mode) - loglik(theta) over them. A non-positive value flags a
-    failed well-separation assumption.
+    Samples 1000 points (``_OUTSIDE_SAMPLES``) uniformly from the bounding box
+    (intersected with the orthant), keeps those outside the region, and
+    returns the minimum of loglik(mode) - loglik(theta) over them. A
+    non-positive value flags a failed well-separation assumption.
     """
     lo = np.maximum(np.asarray(bounds[0], dtype=float), 0.0)
     hi = np.asarray(bounds[1], dtype=float)
@@ -260,7 +259,7 @@ def check_well_separation(model: models.ModelInstance, mode_result, region: Regi
     theta_hat = np.asarray(mode_result.theta_hat, dtype=float)
     ll_hat = models.log_lik(model, theta_hat)
     # one (N, d) draw is bitwise the N draws of (d,) a loop would take
-    thetas = rng.uniform(lo, hi, (n_outside_samples,) + lo.shape)
+    thetas = rng.uniform(lo, hi, (_OUTSIDE_SAMPLES,) + lo.shape)
     outside = thetas[~contains_many(region, thetas)]
     if outside.shape[0] == 0:
         raise ConfigError("no samples landed outside the region; enlarge the box")

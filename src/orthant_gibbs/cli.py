@@ -54,13 +54,18 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _load_model(args) -> tuple[models.ModelInstance, int]:
     """The dataset beside model.json with model.json's prior and truth, and
-    the algorithm seed: env, then ``--seed``, then model.json's seed."""
+    the algorithm seed: env, then ``--seed``, then model.json's seed. The
+    dataset must agree with model.json on kind, d, n and any gmm mixture."""
     template, seed = io.load_model_config(args.model_config)
     data = io.load_dataset(Path(args.model_config).parent / DATASET)
-    for name, config, stored in (("kind", template.kind, data.kind),
-                                 ("d", template.theta_star.size, data.d),
-                                 ("n", template.n, data.n)):
-        if config != stored:
+    checks = [("kind", template.kind, data.kind),
+              ("d", template.theta_star.size, data.d),
+              ("n", template.n, data.n)]
+    if data.kind == "gmm":
+        checks += [(name, getattr(template, name), getattr(data, name))
+                   for name in ("weights", "covariances")]
+    for name, config, stored in checks:
+        if not np.array_equal(config, stored):
             raise ConfigError(f"the dataset's {name} is {stored!r}, "
                               f"but model.json says {config!r}")
     model = models.ModelInstance(data, prior=template.prior,
@@ -97,9 +102,8 @@ def cmd_mode(args) -> int:
         lo, hi = json.loads(args.bounds) if args.bounds else default_box(model.theta_star)
         result = find_mode_global(model, (lo, hi), seed=seed, tol=args.tol)
     else:
-        init = (np.asarray(model.theta_star, dtype=float) + 0.1
-                if model.theta_star is not None else np.full(model.d, 0.5))
-        result = find_mode_local(model, np.maximum(init, 0.1), tol=args.tol)
+        result = find_mode_local(model, np.maximum(model.theta_star + 0.1, 0.1),
+                                 tol=args.tol)
     io.write_json(args.out, result)
     print(f"mode objective {result.objective:.6f}, "
           f"residual {result.grad_norm:.3g}, converged={result.converged}")
@@ -312,11 +316,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OrthantGibbsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OrthantGibbsError, OSError, ValueError, TypeError, KeyError) as exc:
+        # a KeyError is a document without a key its reader needs
+        print(f"error: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -74,13 +74,11 @@ def default_deltas(d1: int, eps: float = 0.05, cbar0: float = 1.0,
 @dataclass(frozen=True)
 class GoodSet:
     """Product region B2(center_S0, r0) x Binf(center_S1, r1), intersected
-    with the orthant."""
+    with the orthant. The projection needs a finite, non-negative center and
+    radii; a set read from a file is checked like one built here."""
 
     center: np.ndarray
     split: CoordinateSplit
-    delta0: float
-    delta1: float
-    n: int
     r0: float
     r1: float
 
@@ -89,6 +87,10 @@ class GoodSet:
         object.__setattr__(self, "center", center)
         if center.shape != (self.split.d,):
             raise ShapeError("center length does not match the split dimension")
+        if not np.all(np.isfinite(center) & (center >= 0)):
+            raise ConfigError("good-set center must be finite and non-negative")
+        if not (0 <= self.r0 < math.inf and 0 <= self.r1 < math.inf):
+            raise ConfigError(f"radii must be finite and >= 0, got r0={self.r0}, r1={self.r1}")
 
     # the projection reads these on every sampler step; computed once per set
     @cached_property
@@ -100,30 +102,11 @@ class GoodSet:
         c1 = self.center[self.split.S1]
         return _read_only(np.maximum(c1 - self.r1, 0.0)), _read_only(c1 + self.r1)
 
-    def to_json(self) -> dict:
-        return {
-            "center": self.center.tolist(),
-            "S0": self.split.S0.tolist(),
-            "S1": self.split.S1.tolist(),
-            "delta0": self.delta0,
-            "delta1": self.delta1,
-            "n": self.n,
-            "r0": self.r0,
-            "r1": self.r1,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "GoodSet":
-        return GoodSet(
-            center=np.asarray(obj["center"], dtype=float),
-            split=CoordinateSplit(S0=np.asarray(obj["S0"], dtype=int),
-                                  S1=np.asarray(obj["S1"], dtype=int)),
-            delta0=float(obj["delta0"]),
-            delta1=float(obj["delta1"]),
-            n=int(obj["n"]),
-            r0=float(obj["r0"]),
-            r1=float(obj["r1"]),
-        )
+        """The set :meth:`save` wrote."""
+        return GoodSet(center=obj["center"], split=CoordinateSplit(**obj["split"]),
+                       r0=float(obj["r0"]), r1=float(obj["r1"]))
 
     def save(self, path) -> None:
         io.write_json(path, self)
@@ -144,14 +127,13 @@ def build_good_set(theta_hat, split: CoordinateSplit, delta0: float | None,
     if split.d0 == 0:
         if delta0 is not None:
             raise ConfigError("delta0 given but there are no regular coordinates")
-        r0, delta0 = 0.0, 0.0
+        r0 = 0.0
     else:
         if delta0 is None or delta0 <= 0:
             raise ConfigError("delta0 must be positive")
         r0 = delta0 * math.sqrt(split.d0 / n)
     if split.d1 == 0:
         r1 = 0.0
-        delta1 = 0.0
     else:
         if delta1 <= 0:
             raise ConfigError("delta1 must be positive")
@@ -164,8 +146,7 @@ def build_good_set(theta_hat, split: CoordinateSplit, delta0: float | None,
         if r0 >= min_s0:
             warn(f"ball radius r0={r0:.3g} reaches the smallest regular "
                  f"coordinate {min_s0:.3g}")
-    return GoodSet(center=center, split=split, delta0=float(delta0),
-                   delta1=float(delta1), n=int(n), r0=float(r0), r1=float(r1))
+    return GoodSet(center=center, split=split, r0=float(r0), r1=float(r1))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -192,11 +173,7 @@ def contains(gs: GoodSet, theta) -> bool:
 
 def contains_many(gs: GoodSet, thetas) -> np.ndarray:
     """Closed-set membership of each row of a (rows x d) sample matrix, with
-    exact comparisons; a row holding NaN is outside.
-
-    Reads only ``center``, ``split``, ``r0`` and ``r1``, so an
-    ``assumptions.RegionSpec`` can stand in for the good set.
-    """
+    exact comparisons; a row holding NaN is outside."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != gs.center.shape[0]:
         raise ShapeError("sample dimension does not match the good set")

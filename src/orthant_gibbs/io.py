@@ -13,8 +13,9 @@ per field of that kind's data class, under the field's name:
 
 The values are stored exactly. A model config is a small JSON document
 {kind, d, n, seed, theta_star, prior}, plus the mixture for gmm; its seed is
-the one the dataset was simulated with. Every JSON document the package
-writes goes through :func:`write_json`, and every one it reads through
+the one the dataset was simulated with, and its prior is ``{"rate": r}``.
+Every JSON document the package writes goes through :func:`write_json` and
+is its object's dataclass fields; every one it reads goes through
 :func:`read_json`.
 """
 
@@ -36,14 +37,11 @@ _DATA_CLASSES = {cls.kind: cls for cls in (LogisticData, PoissonData, GmmData)}
 def to_jsonable(obj):
     """Plain JSON data for ``obj``.
 
-    An object with a ``to_json`` method (``Prior``, ``GoodSet``) gives that
-    document; any other dataclass gives its fields in declaration order.
-    Arrays and NumPy scalars become lists and Python numbers, tuples become
-    lists, and dicts and lists are converted item by item. Anything else is
-    returned as is, for ``json`` to accept or reject.
+    A dataclass gives its fields in declaration order, each converted in
+    turn. Arrays and NumPy scalars become lists and Python numbers, tuples
+    become lists, and dicts and lists are converted item by item. Anything
+    else is returned as is, for ``json`` to accept or reject.
     """
-    if hasattr(obj, "to_json"):
-        return to_jsonable(obj.to_json())
     if dataclasses.is_dataclass(obj):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

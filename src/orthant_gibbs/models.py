@@ -107,25 +107,14 @@ class Prior:
     def is_flat(self) -> bool:
         return self.rate == 0
 
-    @property
-    def name(self) -> str:
-        return "flat" if self.is_flat else f"exponential({self.rate})"
-
     def oscillation(self, r: float) -> float:
         """Oscillation (sup - inf) of the log-density on [0, r]: rate * r."""
         return self.rate * max(r, 0.0)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "lipschitz": self.rate}
-
     @staticmethod
     def from_json(obj: dict) -> "Prior":
-        name = obj.get("name", "flat")
-        if name == "flat":
-            return Prior()
-        if name.startswith("exponential(") and name.endswith(")"):
-            return Prior.exponential(float(name[len("exponential("):-1]))
-        raise ConfigError(f"unknown prior name {name!r}")
+        """The prior written as its field, ``{"rate": r}``."""
+        return Prior(float(obj["rate"]))
 
 
 # ---------------------------------------------------------------------------

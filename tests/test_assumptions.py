@@ -290,23 +290,26 @@ def test_concentration_sample_size():
         assumptions.concentration_sample_size(1, 1, 1.5)
 
 
-def test_check_well_separation_positive_gap(logistic_model):
+def test_check_well_separation_positive_gap(logistic_model, monkeypatch):
+    monkeypatch.setattr(assumptions, "_OUTSIDE_SAMPLES", 500)
     result = find_mode_local(logistic_model, np.ones(3), tol=1e-9)
     region = region_for(logistic_model, result.theta_hat)
     zeta = assumptions.check_well_separation(
         logistic_model, result, region,
-        (np.zeros(3), np.full(3, 4.0)), n_outside_samples=500, seed=0)
+        (np.zeros(3), np.full(3, 4.0)), seed=0)
     assert zeta > 0
 
 
-def test_check_well_separation_gap_is_pinned(logistic_model):
+def test_check_well_separation_gap_is_pinned(logistic_model, monkeypatch):
     # membership goes through geometry.contains; the gap is bitwise the one
-    # the former region-specific membership test gave on this fixture
+    # the former region-specific membership test gave on this fixture, with
+    # 500 candidate points
+    monkeypatch.setattr(assumptions, "_OUTSIDE_SAMPLES", 500)
     result = find_mode_local(logistic_model, np.ones(3), tol=1e-9)
     region = region_for(logistic_model, result.theta_hat)
     zeta = assumptions.check_well_separation(
         logistic_model, result, region,
-        (np.zeros(3), np.full(3, 4.0)), n_outside_samples=500, seed=0)
+        (np.zeros(3), np.full(3, 4.0)), seed=0)
     assert zeta == float.fromhex("0x1.ea34195dfdc00p-8")
 
 

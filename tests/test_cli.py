@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import orthant_gibbs
-from orthant_gibbs import assumptions, cli, experiments, io, models, sampler
+from orthant_gibbs import assumptions, cli, experiments, geometry, io, models, sampler
 
 
 def run(argv):
@@ -221,6 +221,55 @@ def test_exits_2_when_the_dataset_disagrees_with_model_json(tmp_path, sim_dir, c
     assert not (tmp_path / "mode.json").exists()
 
 
+@pytest.mark.parametrize("field", ["weights", "covariances"])
+def test_exits_2_when_the_gmm_mixture_disagrees_with_model_json(tmp_path, capsys, field):
+    sim = tmp_path / "gsim"
+    assert run(["simulate", "--model", "gmm", "--n", 40, "--theta-star", "[1,1,4,0]",
+                "--seed", 3, "--out", sim]) == 0
+    doc = json.loads((sim / "model.json").read_text())
+    edited = {"weights": [0.6, 0.4],
+              "covariances": (2.0 * np.asarray(doc["covariances"])).tolist()}
+    bad = _beside_the_dataset(tmp_path, sim, **{field: edited[field]})
+    assert run(["mode", "--model-config", bad, "--out", tmp_path / "mode.json"]) == 2
+    assert f"the dataset's {field} is" in capsys.readouterr().err
+    assert not (tmp_path / "mode.json").exists()
+
+
+def test_sample_with_a_good_set_file(tmp_path, sim_dir):
+    # README's recipe: the good set around the mode, saved as good_set.json
+    config, mode_path = sim_dir / "model.json", tmp_path / "mode.json"
+    assert run(["mode", "--model-config", config, "--out", mode_path]) == 0
+    split, center = geometry.split_coordinates(io.read_json(mode_path)["theta_hat"], 1e-7)
+    delta0, delta1 = geometry.default_deltas(split.d1)
+    gs = geometry.build_good_set(center, split, delta0, delta1, 300)
+    good_path, chain_path = tmp_path / "good_set.json", tmp_path / "chain.csv"
+    gs.save(good_path)
+    assert run(["sample", "--model-config", config, "--step", 1e-3, "--steps", 400,
+                "--burn-in", 200, "--good-set", good_path, "--out", chain_path]) == 0
+    draws = np.loadtxt(chain_path, delimiter=",", skiprows=1)[:, :-1]
+    assert draws.shape == (200, 3) and geometry.contains_many(gs, draws).all()
+    meta = io.read_json(str(chain_path) + ".meta.json")
+    assert meta["config"]["projection"] == io.read_json(good_path)
+
+
+def test_files_in_the_earlier_layout_exit_2_naming_the_missing_key(tmp_path, sim_dir,
+                                                                  capsys):
+    # the prior as {name, lipschitz}, and the good set with a flat S0/S1 and
+    # its radius multipliers
+    bad = _beside_the_dataset(tmp_path, sim_dir,
+                              prior={"name": "flat", "lipschitz": 0.0})
+    assert run(["mode", "--model-config", bad, "--out", tmp_path / "mode.json"]) == 2
+    assert "missing key 'rate'" in capsys.readouterr().err
+    good_path = tmp_path / "good_set.json"
+    good_path.write_text(json.dumps({"center": [1.0, 1.0, 0.0], "S0": [0, 1], "S1": [2],
+                                     "delta0": 3.0, "delta1": 4.0, "n": 300,
+                                     "r0": 0.2, "r1": 0.01}))
+    assert run(["sample", "--model-config", sim_dir / "model.json", "--step", 1e-3,
+                "--steps", 10, "--good-set", good_path, "--out", tmp_path / "c.csv"]) == 2
+    assert "missing key 'split'" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_seed_drives_the_algorithm_not_the_data(tmp_path, monkeypatch):
     sim = tmp_path / "sim"
     assert run(["simulate", "--model", "logistic", "--n", 400, "--theta-star",
@@ -252,7 +301,7 @@ def test_seed_drives_the_algorithm_not_the_data(tmp_path, monkeypatch):
 
 def test_mode_exits_2_on_a_non_finite_prior_rate(tmp_path, sim_dir, capsys):
     doc = json.loads((sim_dir / "model.json").read_text())
-    doc["prior"] = {"name": "exponential(nan)", "lipschitz": float("nan")}
+    doc["prior"] = {"rate": float("nan")}
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(doc))
     assert run(["mode", "--model-config", bad, "--out", tmp_path / "mode.json"]) == 2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from orthant_gibbs import geometry
+from orthant_gibbs import geometry, io
 from orthant_gibbs.errors import ConfigError, ShapeError
 
 
@@ -126,12 +126,32 @@ def test_contains_many_matches_scalar():
 
 def test_good_set_json_roundtrip(tmp_path):
     gs = make_good_set()
-    again = geometry.GoodSet.from_json(gs.to_json())
-    np.testing.assert_array_equal(again.center, gs.center)
-    assert (again.r0, again.r1, again.n) == (gs.r0, gs.r1, gs.n)
     path = tmp_path / "gs.json"
     gs.save(path)
-    assert path.exists()
+    doc = io.read_json(path)
+    assert doc == {"center": [1.0, 2.0, 0.0, 0.0], "split": {"S0": [0, 1], "S1": [2, 3]},
+                   "r0": gs.r0, "r1": gs.r1}
+    again = geometry.GoodSet.from_json(doc)
+    np.testing.assert_array_equal(again.center, gs.center)
+    np.testing.assert_array_equal(again.split.S0, gs.split.S0)
+    np.testing.assert_array_equal(again.split.S1, gs.split.S1)
+    assert (again.r0, again.r1) == (gs.r0, gs.r1)
+
+
+@pytest.mark.parametrize("change", [{"center": [-3.0, 0.0]}, {"center": [np.nan, 0.0]},
+                                    {"r0": -0.5}, {"r0": np.nan}, {"r0": np.inf}],
+                         ids=["center-3", "center-nan", "r0-0.5", "r0-nan", "r0-inf"])
+def test_good_set_rejects_a_bad_center_or_radius(change):
+    # the ball projection steps its scale down until the point lies in the
+    # ball; with a negative radius, or a center the orthant clamp keeps it
+    # away from, that never happens, so such a set must not be built
+    doc = {"center": [1.0, 0.0], "split": {"S0": [0], "S1": [1]}, "r0": 0.5, "r1": 0.1,
+           **change}
+    with pytest.raises(ConfigError):
+        geometry.GoodSet.from_json(doc)
+    with pytest.raises(ConfigError):
+        geometry.GoodSet(center=doc["center"], split=geometry.CoordinateSplit(S0=[0], S1=[1]),
+                         r0=doc["r0"], r1=doc["r1"])
 
 
 @given(hnp.arrays(float, st.integers(1, 8),

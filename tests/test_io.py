@@ -53,23 +53,24 @@ def test_model_config_roundtrip(tmp_path):
     io.save_model_config(template, 17, path)
     doc = json.loads(path.read_text())
     assert {"kind", "d", "n", "seed", "theta_star", "prior"} <= set(doc)
+    assert doc["prior"] == {"rate": 2.0}
     again, seed = io.load_model_config(path)
     assert seed == 17 and again.kind == "poisson" and again.n == 80
     np.testing.assert_array_equal(again.theta_star, template.theta_star)
-    assert again.prior.name == "exponential(2.0)"
+    assert again.prior == models.Prior.exponential(2.0)
     # regenerates the identical dataset
     np.testing.assert_array_equal(template.simulate(17).data.A,
                                   again.simulate(17).data.A)
 
 
-@pytest.mark.parametrize("name", ["exponential(nan)", "exponential(inf)",
-                                  "exponential(0)", "exponential(-1.0)"])
-def test_model_config_rejects_a_bad_prior_rate(tmp_path, name):
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=lambda rate: f"exponential({rate})")
+def test_model_config_rejects_a_bad_prior_rate(tmp_path, rate):
     template = models.ModelTemplate(kind="logistic", theta_star=np.array([1.0, 0.0]), n=20)
     path = tmp_path / "model.json"
     io.save_model_config(template, 0, path)
     doc = json.loads(path.read_text())
-    doc["prior"]["name"] = name
+    doc["prior"] = {"rate": rate}
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="prior rate"):
         io.load_model_config(path)
@@ -172,8 +173,8 @@ def test_write_json_bytes_match_the_explicit_documents(tmp_path):
          {"c_S0_hat": 0.5, "C_S1_hat": math.nan, "s2_hat": 2.0,
           "osc_bound": 0.125, "C_PI_bound": math.inf, "grid": 20, "seed": 4}),
         (gs,
-         {"center": [1.5, 0.0], "S0": [0], "S1": [1], "delta0": 2.0,
-          "delta1": 3.0, "n": 100, "r0": gs.r0, "r1": gs.r1}),
+         {"center": [1.5, 0.0], "split": {"S0": [0], "S1": [1]},
+          "r0": gs.r0, "r1": gs.r1}),
     ]
     for obj, doc in cases:
         io.write_json(tmp_path / "doc.json", obj)
@@ -195,6 +196,7 @@ def test_good_set_chain_sidecar_holds_the_good_set_document(tmp_path):
     config = sampler.SamplerConfig(step_size=0.1, n_steps=2, projection=gs)
     _chain(config).export_npy(tmp_path / "chain.npy")
     meta = io.read_json(tmp_path / "chain.npy.meta.json")
-    assert meta["config"]["projection"] == gs.to_json()
+    assert meta["config"]["projection"] == {
+        "center": [1.5, 0.0], "split": {"S0": [0], "S1": [1]}, "r0": gs.r0, "r1": gs.r1}
     again = geometry.GoodSet.from_json(meta["config"]["projection"])
-    assert (again.r0, again.r1, again.n) == (gs.r0, gs.r1, gs.n)
+    assert (again.r0, again.r1) == (gs.r0, gs.r1)
