@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -178,21 +180,81 @@ def run_trial(config: ExperimentConfig, template: models.ModelTemplate,
     return sampler.run_chain(model, chain_config)
 
 
+def _trial_outcome(config: ExperimentConfig, template: models.ModelTemplate,
+                   trial: int):
+    """``(chain, None)`` for a trial that completed, ``(None, repr(exc))`` for
+    one that raised. ``run_trial`` is looked up at call time, so a
+    replacement installed on it reaches forked workers too."""
+    try:
+        return run_trial(config, template, trial), None
+    except Exception as exc:  # noqa: BLE001 - recorded in the manifest
+        return None, repr(exc)
+
+
+def _processes(n_trials: int) -> int:
+    """Worker processes for a study: one per CPU this process may run on, up
+    to the trial count. 1, meaning the trials run in this process, where the
+    CPU set cannot be read, or where other threads run: fork copies only the
+    calling thread, so a lock another thread holds would stay held in the
+    child."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(n_trials, len(os.sched_getaffinity(0)))
+
+
+def _pooled_outcomes(config: ExperimentConfig, template: models.ModelTemplate,
+                     processes: int) -> list:
+    """Each trial's outcome from a pool of forked workers, in trial order. A
+    trial whose worker died, or whose result could not be sent back, is
+    recorded as failed with that error. No worker outlives the call."""
+    # imported here: a study that runs in one process never pays for them
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(processes,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = []
+        for trial in range(config.n_trials):
+            try:
+                future = pool.submit(_trial_outcome, config, template, trial)
+            except BrokenProcessPool as exc:  # a worker died before this trial was queued
+                future = Future()
+                future.set_exception(exc)
+            futures.append(future)
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # noqa: BLE001 - recorded in the manifest
+                outcomes.append((None, repr(exc)))
+        return outcomes
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate):
-    """Every trial in order. A failed trial is recorded as [trial, repr(exc)]
-    and the remaining trials still run."""
-    chains: dict[int, sampler.Chain] = {}
-    failures: list[list] = []
-    for trial in range(config.n_trials):
-        try:
-            chains[trial] = run_trial(config, template, trial)
-        except Exception as exc:  # noqa: BLE001 - recorded in the manifest
-            failures.append([trial, repr(exc)])
-    return chains, failures
+    """Every trial; returns ``(chains, failures, processes)``. With two or
+    more ``_processes`` the trials run on that many forked workers, else one
+    after another in this process. Either way a failed trial is recorded as
+    [trial, repr(exc)], in trial order, and the remaining trials still run;
+    a trial's draws depend only on its own derived seeds."""
+    processes = _processes(config.n_trials)
+    if processes > 1:
+        outcomes = _pooled_outcomes(config, template, processes)
+    else:
+        outcomes = [_trial_outcome(config, template, trial)
+                    for trial in range(config.n_trials)]
+    chains = {trial: chain for trial, (chain, _) in enumerate(outcomes)
+              if chain is not None}
+    failures = [[trial, error] for trial, (_, error) in enumerate(outcomes)
+                if error is not None]
+    return chains, failures, processes
 
 
-def _write_manifest(config: ExperimentConfig, out: Path, failures, wall_s: float,
-                    extra=None) -> None:
+def _write_manifest(config: ExperimentConfig, out: Path, failures,
+                    processes: int, wall_s: float, extra=None) -> None:
     manifest = {
         "config": config,
         "config_hash": config.config_hash(),
@@ -201,6 +263,7 @@ def _write_manifest(config: ExperimentConfig, out: Path, failures, wall_s: float
                         for trial in range(config.n_trials)},
         "failures": failures,
         "versions": {"numpy": np.__version__},
+        "processes": processes,
         "wall_time_s": wall_s,
     }
     if extra:
@@ -228,7 +291,7 @@ def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)
-    chains, failures = _run_all_trials(config, template)
+    chains, failures, processes = _run_all_trials(config, template)
 
     try:
         with open(out / "ess_per_coordinate.csv", "w") as coord_fh, \
@@ -249,7 +312,8 @@ def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
                 llr_fh.write(f"{trial},{report.llr_ess:.6f}\n")
     finally:
         failures.sort()
-        _write_manifest(config, out, failures, time.perf_counter() - t0)
+        _write_manifest(config, out, failures, processes,
+                        time.perf_counter() - t0)
     return out
 
 
@@ -261,7 +325,7 @@ def run_coverage_study(config: ExperimentConfig, theta_star=None,
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)
-    chains, failures = _run_all_trials(config, template)
+    chains, failures, processes = _run_all_trials(config, template)
 
     split, _ = split_coordinates(template.theta_star, BOUNDARY_SPLIT_TAU)
     try:
@@ -277,6 +341,7 @@ def run_coverage_study(config: ExperimentConfig, theta_star=None,
         for trial in sorted(chains):
             chains[trial].export_npy(_chain_path(out, trial))
     finally:
-        _write_manifest(config, out, failures, time.perf_counter() - t0,
+        _write_manifest(config, out, failures, processes,
+                        time.perf_counter() - t0,
                         extra={"level": level, "n_completed": len(chains)})
     return out

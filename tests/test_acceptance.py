@@ -269,10 +269,12 @@ def test_criterion_8_pre_asymptotic_mixing():
     t0 = time.perf_counter()
     config = experiments.preset_config("pre_asymptotic", "logistic")
     template = experiments.build_template(config)
+    chains, failures, _ = experiments._run_all_trials(config, template)
+    assert failures == []
     good_trials = 0
     medians = []
     for trial in range(config.n_trials):
-        chain = experiments.run_trial(config, template, trial)
+        chain = chains[trial]
         ess = diagnostics.ess_report([chain.samples],
                                      [chain.log_posterior]).per_coordinate
         med = float(np.median(ess))
@@ -295,12 +297,13 @@ def test_criterion_9_asymptotic_coverage():
     for kind in ("logistic", "poisson"):
         config = experiments.preset_config("asymptotic", kind)
         template = experiments.build_template(config)
-        chains = [experiments.run_trial(config, template, t)
-                  for t in range(config.n_trials)]
+        chains, failures, _ = experiments._run_all_trials(config, template)
+        assert failures == []
         split, _ = geometry.split_coordinates(
             template.theta_star, experiments.BOUNDARY_SPLIT_TAU)
         cov = diagnostics.coverage_experiment(
-            [c.samples for c in chains], template.theta_star, 0.95, split)
+            [chains[t].samples for t in range(config.n_trials)],
+            template.theta_star, 0.95, split)
         regular = cov.per_coordinate_coverage[~cov.boundary_flags]
         boundary = cov.per_coordinate_coverage[cov.boundary_flags]
         in_band = bool(np.all((regular >= 0.80) & (regular <= 1.00)))

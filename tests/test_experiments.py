@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+from concurrent import futures
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -63,6 +67,42 @@ def test_ess_failure_of_one_trial_is_recorded_and_the_study_written(
     assert sorted(p.name for p in (out / "chains").glob("*.npy")) == [
         "0.npy", "1.npy", "3.npy"]
     assert np.all(np.load(out / "chains" / "1.npy")[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("queued", ["at once", "one at a time"])
+def test_a_dead_worker_costs_its_trials_not_the_study(monkeypatch, tmp_path, queued):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _fail_trials(monkeypatch, ())
+    real_trial = experiments.run_trial
+
+    def die_on_trial_1(config, template, trial):
+        if trial == 1:
+            os._exit(1)  # as an OOM kill would end the worker
+        return real_trial(config, template, trial)
+
+    monkeypatch.setattr(experiments, "run_trial", die_on_trial_1)
+    if queued == "one at a time":
+        # each trial is queued once the one before it has ended, so the
+        # trials after the dead worker meet a broken pool at submission
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit_and_wait(self, *args, **kwargs):
+            future = real_submit(self, *args, **kwargs)
+            futures.wait([future])
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_and_wait)
+    out = experiments.run_ess_study(_config(tmp_path, n_trials=4))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["processes"] == 2
+    failed = dict(manifest["failures"])
+    assert failed[1].startswith("BrokenProcessPool(")
+    # every trial is either written or recorded as failed
+    written = {int(p.stem) for p in (out / "chains").glob("*.npy")}
+    assert written | set(failed) == {0, 1, 2, 3} and not written & set(failed)
+    if queued == "one at a time":
+        assert written == {0}
+    assert multiprocessing.active_children() == []
 
 
 def test_config_hash_ignores_out_dir(tmp_path):

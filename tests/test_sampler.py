@@ -1,7 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from orthant_gibbs import experiments, geometry, models, sampler
+from orthant_gibbs import experiments, geometry, io, models, sampler
 from orthant_gibbs.errors import ConfigError, NonFiniteError
 from orthant_gibbs.rng import make_rng
 
@@ -218,23 +221,61 @@ def test_warm_start_distance_scales_like_sqrt_d():
     assert 0.8 * np.sqrt(d) <= mean <= 1.2 * np.sqrt(d)
 
 
-def test_run_trials_reduces_and_aggregates():
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_run_trials_reduces_and_aggregates(monkeypatch, tmp_path):
     template = models.ModelTemplate(kind="logistic",
                                     theta_star=np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
                                     n=50)
 
-    def config(n_trials):
+    def config(n_trials, out_dir="out"):
         return experiments.ExperimentConfig(
             preset="custom", model="logistic", d=5, n=50, n_trials=n_trials,
             n_steps=200, burn_in=100, step_size=1e-3, step_scale="literal",
-            seed=9)
+            seed=9, out_dir=str(out_dir))
 
-    chains, failures = experiments._run_all_trials(config(20), template)
-    assert len(chains) == 20 and not failures
+    _cpus(monkeypatch, 2)
+    chains, failures, processes = experiments._run_all_trials(config(20), template)
+    assert len(chains) == 20 and not failures and processes == 2
     assert all(np.all(c.samples >= 0) for c in chains.values())
     # trial 0 depends only on its trial-derived seeds, not on the trial count
-    one, _ = experiments._run_all_trials(config(1), template)
+    # or on the process it ran in
+    one, _, processes = experiments._run_all_trials(config(1), template)
+    assert processes == 1
     np.testing.assert_array_equal(one[0].samples, chains[0].samples)
+    # with another thread running, fork could copy a lock that thread holds,
+    # so the trials run in this process
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        two, _, processes = experiments._run_all_trials(config(2), template)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert processes == 1 and not other.is_alive()
+    np.testing.assert_array_equal(two[1].samples, chains[1].samples)
+
+    # the worker count changes no output byte of either study
+    names = ("ess_per_coordinate.csv", "llr_ess.csv", "coverage.csv")
+    written = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        outs = [experiments.run_ess_study(config(3, tmp_path / f"{cpus}" / "ess")),
+                experiments.run_coverage_study(config(3, tmp_path / f"{cpus}" / "cov"))]
+        files = {}
+        for out in outs:
+            manifest = io.read_json(out / "manifest.json")
+            assert manifest["processes"] == cpus
+            files[out.parent.name, "failures"] = manifest["failures"]
+            for path in [*sorted((out / "chains").glob("*.npy")),
+                         *(out / name for name in names if (out / name).exists())]:
+                files[out.parent.name, path.relative_to(out).as_posix()] = path.read_bytes()
+        written[cpus] = files
+    assert len(written[2]) == 2 * 3 + 3 + 2  # six chains, three tables, two failure lists
+    assert written[2] == written[1]
 
 
 def test_chain_export_csv(tmp_path):
