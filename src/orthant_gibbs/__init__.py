@@ -9,10 +9,9 @@ Monte Carlo, and mixing/coverage diagnostics.
 from .assumptions import (AssumptionReport, RegionSpec, check_well_separation,
                           concentration_sample_size, decompose_likelihood,
                           estimate_constants, osc_bound, poincare_bound)
-from .diagnostics import (CoverageReport, EssReport, SpectralGapResult,
-                          bulk_ess, coverage_experiment, credible_interval,
-                          ess_report, estimate_expectation, good_set_mass,
-                          spectral_gap_1d)
+from .diagnostics import (EssReport, SpectralGapResult, bulk_ess,
+                          credible_interval, ess_report, estimate_expectation,
+                          good_set_mass, interval_hits, spectral_gap_1d)
 from .errors import (ConfigError, DegenerateChainError, DomainError,
                      NonFiniteError, NumericalError, OrthantGibbsError,
                      RangeError, ShapeError)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import CoordinateSplit, GoodSet, contains_many
+from .geometry import CoordinateSplit, GoodSet, contains_many, orthant_box
 from .rng import make_rng
 
 
@@ -251,10 +251,7 @@ def check_well_separation(model: models.ModelInstance, mode_result, region: Regi
     returns the minimum of loglik(mode) - loglik(theta) over them. A
     non-positive value flags a failed well-separation assumption.
     """
-    lo = np.maximum(np.asarray(bounds[0], dtype=float), 0.0)
-    hi = np.asarray(bounds[1], dtype=float)
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ConfigError("bounding box is empty")
+    lo, hi = orthant_box(bounds)
     rng = make_rng(seed, 0x5E)
     theta_hat = np.asarray(mode_result.theta_hat, dtype=float)
     ll_hat = models.log_lik(model, theta_hat)

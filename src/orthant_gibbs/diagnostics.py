@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateChainError, NumericalError,
                      RangeError, ShapeError)
-from .geometry import CoordinateSplit, GoodSet, contains_many
+from .geometry import GoodSet, contains_many
 
 ESS_CLIP_FACTOR = 1.5  # standard safeguard for antithetic chains
 RANK_OFFSET_NUM = 0.375  # rank r maps to the normal quantile of (r - 3/8)/(N + 1/4)
@@ -236,42 +236,19 @@ def credible_interval(samples, level: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    per_coordinate_coverage: np.ndarray
-    n_trials: int
-    level: float
-    boundary_flags: np.ndarray
-
-
-def coverage_experiment(trial_samples: Sequence[np.ndarray], theta_star,
-                        level: float, split: CoordinateSplit) -> CoverageReport:
-    """Fraction of trials whose per-coordinate interval contains the truth.
-
-    Each trial's intervals are those of ``credible_interval``, all
-    coordinates in one quantile call.
-    """
+def interval_hits(samples, theta_star, level: float) -> np.ndarray:
+    """Whether each coordinate's ``credible_interval`` holds the truth, all
+    coordinates in one quantile call: one trial's row of a coverage study."""
     theta_star = np.asarray(theta_star, dtype=float)
+    samples = np.asarray(samples, dtype=float)
     if not 0 < level < 1:
         raise ConfigError("level must lie in (0, 1)")
-    d = theta_star.size
-    hits = np.zeros(d)
-    n_trials = 0
-    for samples in trial_samples:
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != d:
-            raise ShapeError("trial sample matrix does not match theta_star")
-        if samples.shape[0] < 2:
-            raise ConfigError("need at least 2 samples")
-        n_trials += 1
-        lo, hi = np.quantile(samples, [(1 - level) / 2, (1 + level) / 2], axis=0)
-        hits += (lo <= theta_star) & (theta_star <= hi)
-    if n_trials == 0:
-        raise ConfigError("coverage needs at least one completed trial")
-    flags = np.zeros(d, dtype=bool)
-    flags[split.S1] = True
-    return CoverageReport(per_coordinate_coverage=hits / n_trials,
-                          n_trials=n_trials, level=level, boundary_flags=flags)
+    if samples.ndim != 2 or samples.shape[1] != theta_star.size:
+        raise ShapeError("trial sample matrix does not match theta_star")
+    if samples.shape[0] < 2:
+        raise ConfigError("need at least 2 samples")
+    lo, hi = np.quantile(samples, [(1 - level) / 2, (1 + level) / 2], axis=0)
+    return (lo <= theta_star) & (theta_star <= hi)
 
 
 # ---------------------------------------------------------------------------

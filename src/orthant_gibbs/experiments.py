@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, io, models, sampler
-from .errors import ConfigError, OrthantGibbsError
+from .errors import ConfigError
 from .geometry import split_coordinates
 from .mode import default_box, find_mode_global, find_mode_local
 from .rng import derive_seed
@@ -59,12 +59,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.step_scale not in ("normalized", "literal"):
             raise ConfigError(f"unknown step_scale {self.step_scale!r}")
+        if self.warm_start not in ("truth", "mode"):
+            raise ConfigError(f"unknown warm_start {self.warm_start!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        # a seed sequence takes no negative entropy
+        if min(self.d, self.n, self.n_trials) < 1 or self.seed < 0:
+            raise ConfigError("d, n and n_trials must be >= 1 and seed >= 0")
         if self.model == "gmm" and self.d % self.k != 0:
             raise ConfigError("gmm requires d divisible by k")
-        if self.n < 1 or self.n_trials < 1:
-            raise ConfigError("n and n_trials must be >= 1")
         self.sampler_config()  # the sampler's own checks, before any trial runs
 
     @property
@@ -180,13 +183,32 @@ def run_trial(config: ExperimentConfig, template: models.ModelTemplate,
     return sampler.run_chain(model, chain_config)
 
 
-def _trial_outcome(config: ExperimentConfig, template: models.ModelTemplate,
-                   trial: int):
-    """``(chain, None)`` for a trial that completed, ``(None, repr(exc))`` for
-    one that raised. ``run_trial`` is looked up at call time, so a
-    replacement installed on it reaches forked workers too."""
+def _ess_row(config: ExperimentConfig, template: models.ModelTemplate,
+             out: Path, trial: int) -> np.ndarray:
+    """Run one trial, write ``chains/<t>.npy`` and return its ESS row: each
+    coordinate's, then the log-posterior's. A chain whose ESS fails stays."""
+    chain = run_trial(config, template, trial)
+    chain.export_npy(_chain_path(out, trial))
+    report = diagnostics.ess_report([chain.samples], [chain.log_posterior])
+    return np.append(report.per_coordinate, report.llr_ess)
+
+
+def _coverage_row(config: ExperimentConfig, template: models.ModelTemplate,
+                  out: Path, trial: int, level: float) -> np.ndarray:
+    """Run one trial, write ``chains/<t>.npy`` and return its coverage row:
+    whether each coordinate's ``level`` interval holds the truth."""
+    chain = run_trial(config, template, trial)
+    chain.export_npy(_chain_path(out, trial))
+    return diagnostics.interval_hits(chain.samples, template.theta_star, level)
+
+
+def _trial_outcome(job, config: ExperimentConfig,
+                   template: models.ModelTemplate, out: Path, trial: int, *args):
+    """``(row, None)`` for a trial whose job completed, ``(None, repr(exc))``
+    for one that raised anywhere in it. The jobs look ``run_trial`` up at
+    call time, so a replacement installed on it reaches forked workers too."""
     try:
-        return run_trial(config, template, trial), None
+        return job(config, template, out, trial, *args), None
     except Exception as exc:  # noqa: BLE001 - recorded in the manifest
         return None, repr(exc)
 
@@ -203,10 +225,11 @@ def _processes(n_trials: int) -> int:
 
 
 def _pooled_outcomes(config: ExperimentConfig, template: models.ModelTemplate,
-                     processes: int) -> list:
+                     out: Path, processes: int, job, *args) -> list:
     """Each trial's outcome from a pool of forked workers, in trial order. A
-    trial whose worker died, or whose result could not be sent back, is
-    recorded as failed with that error. No worker outlives the call."""
+    trial whose worker died, or whose row could not be sent back, is
+    recorded as failed with that error, and whatever its worker had written
+    of its chain is deleted. No worker outlives the call."""
     # imported here: a study that runs in one process never pays for them
     import multiprocessing
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -214,43 +237,48 @@ def _pooled_outcomes(config: ExperimentConfig, template: models.ModelTemplate,
 
     pool = ProcessPoolExecutor(processes,
                                mp_context=multiprocessing.get_context("fork"))
+    outcomes, lost = [], []
     try:
         futures = []
         for trial in range(config.n_trials):
             try:
-                future = pool.submit(_trial_outcome, config, template, trial)
+                future = pool.submit(_trial_outcome, job, config, template, out, trial, *args)
             except BrokenProcessPool as exc:  # a worker died before this trial was queued
                 future = Future()
                 future.set_exception(exc)
             futures.append(future)
-        outcomes = []
-        for future in futures:
+        for trial, future in enumerate(futures):
             try:
                 outcomes.append(future.result())
             except Exception as exc:  # noqa: BLE001 - recorded in the manifest
                 outcomes.append((None, repr(exc)))
-        return outcomes
+                lost.append(trial)
     finally:
         pool.shutdown(cancel_futures=True)
+    for trial in lost:  # every worker has exited: no file is still growing
+        for path in (out / "chains").glob(f"{trial}.npy*"):  # with its sidecar
+            path.unlink()
+    return outcomes
 
 
-def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate):
-    """Every trial; returns ``(chains, failures, processes)``. With two or
-    more ``_processes`` the trials run on that many forked workers, else one
-    after another in this process. Either way a failed trial is recorded as
-    [trial, repr(exc)], in trial order, and the remaining trials still run;
-    a trial's draws depend only on its own derived seeds."""
+def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate,
+                    out: Path, job, *args):
+    """Every trial's ``job(config, template, out, trial, *args)``; returns
+    ``(rows, failures, processes)``, ``rows`` mapping each completed trial to
+    its row in trial order. With two or more ``_processes`` the jobs run on
+    that many forked workers, each sending back only its row, else in this
+    process. Either way a failed trial is recorded as [trial, repr(exc)], in
+    trial order, and a trial's draws depend only on its own derived seeds."""
     processes = _processes(config.n_trials)
     if processes > 1:
-        outcomes = _pooled_outcomes(config, template, processes)
+        outcomes = _pooled_outcomes(config, template, out, processes, job, *args)
     else:
-        outcomes = [_trial_outcome(config, template, trial)
+        outcomes = [_trial_outcome(job, config, template, out, trial, *args)
                     for trial in range(config.n_trials)]
-    chains = {trial: chain for trial, (chain, _) in enumerate(outcomes)
-              if chain is not None}
+    rows = {trial: row for trial, (row, _) in enumerate(outcomes) if row is not None}
     failures = [[trial, error] for trial, (_, error) in enumerate(outcomes)
                 if error is not None]
-    return chains, failures, processes
+    return rows, failures, processes
 
 
 def _write_manifest(config: ExperimentConfig, out: Path, failures,
@@ -291,27 +319,18 @@ def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)
-    chains, failures, processes = _run_all_trials(config, template)
+    rows, failures, processes = _run_all_trials(config, template, out, _ess_row)
 
     try:
         with open(out / "ess_per_coordinate.csv", "w") as coord_fh, \
                 open(out / "llr_ess.csv", "w") as llr_fh:
             coord_fh.write("trial,coordinate,ess\n")
             llr_fh.write("trial,ess\n")
-            for trial in sorted(chains):
-                chain = chains[trial]
-                chain.export_npy(_chain_path(out, trial))
-                try:
-                    report = diagnostics.ess_report([chain.samples],
-                                                    [chain.log_posterior])
-                except OrthantGibbsError as exc:
-                    failures.append([trial, repr(exc)])
-                    continue
-                for j, ess in enumerate(report.per_coordinate):
+            for trial, row in rows.items():
+                for j, ess in enumerate(row[:-1]):
                     coord_fh.write(f"{trial},{j},{ess:.6f}\n")
-                llr_fh.write(f"{trial},{report.llr_ess:.6f}\n")
+                llr_fh.write(f"{trial},{row[-1]:.6f}\n")
     finally:
-        failures.sort()
         _write_manifest(config, out, failures, processes,
                         time.perf_counter() - t0)
     return out
@@ -319,29 +338,27 @@ def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
 
 def run_coverage_study(config: ExperimentConfig, theta_star=None,
                        level: float = 0.95) -> Path:
-    """Run trials and write the per-coordinate coverage table."""
+    """Run trials and write the per-coordinate coverage table: the share of
+    completed trials whose ``level`` interval holds the truth."""
     if not 0 < level < 1:
         raise ConfigError(f"level must lie in (0, 1), got {level}")
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)
-    chains, failures, processes = _run_all_trials(config, template)
+    rows, failures, processes = _run_all_trials(config, template, out, _coverage_row, level)
 
     split, _ = split_coordinates(template.theta_star, BOUNDARY_SPLIT_TAU)
+    boundary = set(split.S1.tolist())
     try:
-        # raises when every trial failed; the manifest still records why
-        report = diagnostics.coverage_experiment(
-            [chains[t].samples for t in sorted(chains)], template.theta_star,
-            level, split)
+        if not rows:  # the manifest still records why
+            raise ConfigError("coverage needs at least one completed trial")
+        coverage = np.sum(list(rows.values()), axis=0) / len(rows)
         with open(out / "coverage.csv", "w") as fh:
             fh.write("coordinate,coverage,is_boundary\n")
             for j in range(config.d):
-                fh.write(f"{j},{report.per_coordinate_coverage[j]:.6f},"
-                         f"{int(report.boundary_flags[j])}\n")
-        for trial in sorted(chains):
-            chains[trial].export_npy(_chain_path(out, trial))
+                fh.write(f"{j},{coverage[j]:.6f},{int(j in boundary)}\n")
     finally:
         _write_manifest(config, out, failures, processes,
                         time.perf_counter() - t0,
-                        extra={"level": level, "n_completed": len(chains)})
+                        extra={"level": level, "n_completed": len(rows)})
     return out

@@ -192,6 +192,16 @@ def project_orthant(theta) -> np.ndarray:
     return np.maximum(np.asarray(theta, dtype=float), 0.0)
 
 
+def orthant_box(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """A search box ``(lo, hi)`` clipped to the orthant. Points are drawn from it
+    uniformly, so a NaN bound, an infinite ``hi`` or an empty box is refused."""
+    lo = project_orthant(bounds[0])
+    hi = np.asarray(bounds[1], dtype=float)
+    if lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(hi)):
+        raise ConfigError("bounding box must be finite and non-empty")
+    return lo, hi
+
+
 def project_good_set(gs: GoodSet, theta) -> np.ndarray:
     """Exact Euclidean projection onto the good set.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, DomainError, NonFiniteError
-from .geometry import project_orthant
+from .geometry import orthant_box, project_orthant
 from .rng import make_rng
 
 ARMIJO = 1e-4
@@ -130,11 +130,7 @@ def find_mode_global(model: models.ModelInstance, bounds, *, n_restarts: int = 1
     tie keeps the earlier restart, so the result is deterministic for a
     fixed seed.
     """
-    lo = np.maximum(np.asarray(bounds[0], dtype=float), 0.0)
-    hi = np.asarray(bounds[1], dtype=float)
-    # NaN fails lo < hi, and an infinite hi leaves no uniform law to draw from
-    if lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(hi)):
-        raise ConfigError("bounding box must be finite and non-empty")
+    lo, hi = orthant_box(bounds)
     if n_restarts < 1:
         raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
     fun, grad = _posterior_objective(model)

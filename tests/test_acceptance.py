@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from orthant_gibbs import (assumptions, diagnostics, experiments, geometry,
-                           models, sampler)
+                           io, models, sampler)
 from orthant_gibbs.mode import default_box, find_mode_global, find_mode_local
 
 from oracles import ar1_chain, fd_gradient, fd_hessian, rel_err
@@ -263,24 +263,25 @@ def test_criterion_7_ess_calibration():
                   f"(err {ar_err:.2%} <=25%); {elapsed:.1f}s")
 
 
-def test_criterion_8_pre_asymptotic_mixing():
+def _study_table(out, name):
+    """A study's CSV table as a float array, header dropped, with the
+    manifest's failures."""
+    failures = io.read_json(out / "manifest.json")["failures"]
+    return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2), failures
+
+
+def test_criterion_8_pre_asymptotic_mixing(tmp_path):
     """Logistic preset (d=200, n=800): median coordinate ESS >= 100 in
-    >= 16/20 trials."""
+    >= 16/20 trials, read from the study's table (ESS to 6 decimals)."""
     t0 = time.perf_counter()
-    config = experiments.preset_config("pre_asymptotic", "logistic")
-    template = experiments.build_template(config)
-    chains, failures, _ = experiments._run_all_trials(config, template)
+    config = experiments.preset_config("pre_asymptotic", "logistic",
+                                       out_dir=str(tmp_path))
+    table, failures = _study_table(experiments.run_ess_study(config),
+                                   "ess_per_coordinate.csv")
     assert failures == []
-    good_trials = 0
-    medians = []
-    for trial in range(config.n_trials):
-        chain = chains[trial]
-        ess = diagnostics.ess_report([chain.samples],
-                                     [chain.log_posterior]).per_coordinate
-        med = float(np.median(ess))
-        medians.append(med)
-        if med >= 100:
-            good_trials += 1
+    medians = [float(np.median(table[table[:, 0] == trial, 2]))
+               for trial in range(config.n_trials)]
+    good_trials = sum(med >= 100 for med in medians)
     elapsed = time.perf_counter() - t0
     ok = good_trials >= 16 and elapsed < 1800
     report(8, ok, f"median coordinate ESS >= 100 in {good_trials}/20 trials "
@@ -288,26 +289,21 @@ def test_criterion_8_pre_asymptotic_mixing():
                   f"{elapsed:.0f}s")
 
 
-def test_criterion_9_asymptotic_coverage():
+def test_criterion_9_asymptotic_coverage(tmp_path):
     """d=10, n=1000, 20 trials: regular-coordinate coverage in [0.80, 1.00];
     boundary coordinate flagged."""
     t0 = time.perf_counter()
     details = []
     all_ok = True
     for kind in ("logistic", "poisson"):
-        config = experiments.preset_config("asymptotic", kind)
-        template = experiments.build_template(config)
-        chains, failures, _ = experiments._run_all_trials(config, template)
+        config = experiments.preset_config("asymptotic", kind, out_dir=str(tmp_path))
+        table, failures = _study_table(experiments.run_coverage_study(config),
+                                       "coverage.csv")
         assert failures == []
-        split, _ = geometry.split_coordinates(
-            template.theta_star, experiments.BOUNDARY_SPLIT_TAU)
-        cov = diagnostics.coverage_experiment(
-            [chains[t].samples for t in range(config.n_trials)],
-            template.theta_star, 0.95, split)
-        regular = cov.per_coordinate_coverage[~cov.boundary_flags]
-        boundary = cov.per_coordinate_coverage[cov.boundary_flags]
+        flags = table[:, 2] == 1
+        regular, boundary = table[~flags, 1], table[flags, 1]
         in_band = bool(np.all((regular >= 0.80) & (regular <= 1.00)))
-        flagged = int(np.sum(cov.boundary_flags)) == 1
+        flagged = int(np.sum(flags)) == 1
         all_ok = all_ok and in_band and flagged
         details.append(f"{kind}: regular [{regular.min():.2f},"
                        f"{regular.max():.2f}], boundary {boundary[0]:.2f} "

@@ -313,6 +313,20 @@ def test_check_well_separation_gap_is_pinned(logistic_model, monkeypatch):
     assert zeta == float.fromhex("0x1.ea34195dfdc00p-8")
 
 
+@pytest.mark.parametrize("lo,hi", [(0.0, float("nan")), (float("nan"), 1.0),
+                                   (0.0, float("inf")), (float("inf"), 1.0),
+                                   (0.0, -float("inf")), (2.0, 1.0), (1.0, 1.0)])
+def test_check_well_separation_rejects_a_box_with_no_uniform_law(logistic_model,
+                                                                 lo, hi):
+    # the same check as the global mode search's box: NumPy would raise
+    # OverflowError for a NaN or infinite bound, which is no OrthantGibbsError
+    result = find_mode_local(logistic_model, np.ones(3), tol=1e-9)
+    region = region_for(logistic_model, result.theta_hat)
+    with pytest.raises(ConfigError, match="bounding box"):
+        assumptions.check_well_separation(logistic_model, result, region,
+                                          (np.full(3, lo), np.full(3, hi)))
+
+
 def test_batched_uniform_draw_is_bitwise_the_per_row_draws():
     # check_well_separation draws its (N, d) candidates at once; the
     # Generator gives the same numbers as N draws of (d,)

@@ -316,8 +316,15 @@ def test_mode_exits_2_on_a_non_finite_prior_rate(tmp_path, sim_dir, capsys):
     ["coverage", "--n-trials", 0],
     ["coverage", "--level", 1.5],
     ["coverage", "--level", "nan"],
+    ["ess", "--seed", -1],
+    ["ess", {"warm_start": "Mode", "preset": "asymptotic"}],
+    ["ess", {"d": 0}],
 ])
 def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):
+    if isinstance(argv[-1], dict):  # the fields of a --config file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + ["--config", config]
     out = tmp_path / "run"
     assert run(argv + ["--model", "logistic", "--out", out]) == 2
     assert "error:" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from scipy.stats import rankdata
 
 from orthant_gibbs import diagnostics, geometry, io
 from orthant_gibbs.errors import (ConfigError, DegenerateChainError, NumericalError,
-                                  RangeError)
+                                  RangeError, ShapeError)
 
 from oracles import (ar1_chain, bulk_ess_reference, dense_gap_1d,
                      truncated_exponential_mean)
@@ -154,27 +154,23 @@ def test_credible_interval_gaussian_quantiles():
         diagnostics.credible_interval(np.array([1.0]), 0.95)
 
 
-def test_coverage_experiment_counts_hits():
+def test_interval_hits_counts_hits():
     theta_star = np.array([0.0, 1.0])
-    split, _ = geometry.split_coordinates(theta_star, 1e-6)
     rng = np.random.default_rng(6)
     # trials where the posterior is centered at the truth: high coverage
-    trials = [theta_star + 0.1 * rng.standard_normal((400, 2))
-              for _ in range(10)]
-    report = diagnostics.coverage_experiment(trials, theta_star, 0.95, split)
-    assert report.per_coordinate_coverage.shape == (2,)
-    assert np.all(report.per_coordinate_coverage >= 0.8)
-    assert report.boundary_flags.tolist() == [True, False]
+    hits = [diagnostics.interval_hits(theta_star + 0.1 * rng.standard_normal((400, 2)),
+                                      theta_star, 0.95)
+            for _ in range(10)]
+    assert hits[0].shape == (2,) and hits[0].dtype == bool
+    assert np.all(np.mean(hits, axis=0) >= 0.8)
     # trials centered away from the truth: zero coverage
-    off = [5.0 + 0.01 * rng.standard_normal((400, 2)) for _ in range(10)]
-    report = diagnostics.coverage_experiment(off, theta_star, 0.95, split)
-    assert np.all(report.per_coordinate_coverage == 0.0)
+    off = 5.0 + 0.01 * rng.standard_normal((400, 2))
+    assert not diagnostics.interval_hits(off, theta_star, 0.95).any()
 
 
-def test_coverage_experiment_matches_per_column_intervals():
+def test_interval_hits_matches_per_column_intervals():
     rng = np.random.default_rng(9)
     theta_star = np.array([0.0, 0.3, 1.0, 2.0])
-    split, _ = geometry.split_coordinates(theta_star, 1e-6)
     # each trial's posterior sits off the truth by a random shift, so some
     # intervals miss; clipping at 0 puts interval ends exactly on the truth
     trials = [np.maximum(theta_star + 0.4 * rng.standard_normal(4)
@@ -185,9 +181,21 @@ def test_coverage_experiment_matches_per_column_intervals():
         for j in range(4):
             lo, hi = diagnostics.credible_interval(samples[:, j], 0.9)
             hits[j] += lo <= theta_star[j] <= hi
-    report = diagnostics.coverage_experiment(trials, theta_star, 0.9, split)
-    np.testing.assert_array_equal(report.per_coordinate_coverage, hits / len(trials))
+    rows = [diagnostics.interval_hits(samples, theta_star, 0.9) for samples in trials]
+    np.testing.assert_array_equal(np.sum(rows, axis=0), hits)
     assert 0 < hits.min() and hits.max() < len(trials)
+
+
+@pytest.mark.parametrize("samples,level,error", [
+    (np.ones((10, 3)), 0.95, ShapeError),
+    (np.ones(10), 0.95, ShapeError),
+    (np.ones((1, 2)), 0.95, ConfigError),
+    (np.ones((10, 2)), 1.0, ConfigError),
+    (np.ones((10, 2)), float("nan"), ConfigError),
+])
+def test_interval_hits_rejects_bad_input(samples, level, error):
+    with pytest.raises(error):
+        diagnostics.interval_hits(samples, np.zeros(2), level)
 
 
 def test_estimate_expectation_bounds_and_error_bar():

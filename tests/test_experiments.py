@@ -3,6 +3,7 @@ import multiprocessing
 import os
 from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,37 @@ def test_a_dead_worker_costs_its_trials_not_the_study(monkeypatch, tmp_path, que
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("study", ["ess", "coverage"])
+def test_a_worker_that_dies_after_writing_its_chain_leaves_no_file(
+        monkeypatch, tmp_path, study):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _fail_trials(monkeypatch, ())
+    real_export = sampler.Chain.export_npy
+
+    def export_then_die(chain, path):
+        real_export(chain, path)
+        if Path(path).stem == "1":
+            os._exit(1)  # the chain and its sidecar are on disk
+
+    monkeypatch.setattr(sampler.Chain, "export_npy", export_then_die)
+    config = _config(tmp_path, n_trials=4)
+    try:
+        out = getattr(experiments, f"run_{study}_study")(config)
+    except ConfigError as exc:  # no coverage trial completed
+        assert study == "coverage"
+        assert "at least one completed trial" in str(exc)
+        out = tmp_path / config.run_tag()
+    failed = dict(json.loads((out / "manifest.json").read_text())["failures"])
+    assert failed[1].startswith("BrokenProcessPool(")
+    chains = out / "chains"
+    assert not (chains / "1.npy").exists()
+    assert not (chains / "1.npy.meta.json").exists()
+    written = {int(p.stem) for p in chains.glob("*.npy")}
+    assert written | set(failed) == {0, 1, 2, 3} and not written & set(failed)
+    assert {int(p.name.split(".")[0]) for p in chains.glob("*.meta.json")} == written
+    assert multiprocessing.active_children() == []
+
+
 def test_config_hash_ignores_out_dir(tmp_path):
     a = _config(tmp_path / "a")
     assert a.config_hash() == _config(tmp_path / "b").config_hash()
@@ -129,6 +161,9 @@ def test_coverage_study_with_every_trial_failed_writes_manifest_and_raises(
     {"n_steps": 100, "burn_in": 100},
     {"step_size": 0.0},
     {"thin": 0},
+    {"warm_start": "Mode"},  # was accepted, and warm-started at the truth
+    {"seed": -1},  # failed every trial in derive_seed, then the manifest
+    {"d": 0},  # ran every trial into DegenerateChainError
 ])
 def test_config_rejects_bad_study_settings(tmp_path, overrides):
     with pytest.raises(ConfigError):

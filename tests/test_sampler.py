@@ -236,27 +236,40 @@ def test_run_trials_reduces_and_aggregates(monkeypatch, tmp_path):
             n_steps=200, burn_in=100, step_size=1e-3, step_scale="literal",
             seed=9, out_dir=str(out_dir))
 
+    def trials(n_trials, name):
+        out = tmp_path / name
+        (out / "chains").mkdir(parents=True)
+        rows, failures, processes = experiments._run_all_trials(
+            config(n_trials), template, out, experiments._ess_row)
+        draws = {t: np.load(out / "chains" / f"{t}.npy") for t in rows}
+        return rows, draws, failures, processes
+
     _cpus(monkeypatch, 2)
-    chains, failures, processes = experiments._run_all_trials(config(20), template)
-    assert len(chains) == 20 and not failures and processes == 2
-    assert all(np.all(c.samples >= 0) for c in chains.values())
+    rows, draws, failures, processes = trials(20, "twenty")
+    assert len(rows) == 20 and not failures and processes == 2
+    # a worker sends back its row, the ESS of 5 coordinates and of the
+    # log-posterior, and keeps its chain: it wrote it itself
+    assert all(type(row) is np.ndarray and row.shape == (6,) for row in rows.values())
+    assert all(np.all(chain[:, :-1] >= 0) for chain in draws.values())
     # trial 0 depends only on its trial-derived seeds, not on the trial count
     # or on the process it ran in
-    one, _, processes = experiments._run_all_trials(config(1), template)
+    one, one_draws, _, processes = trials(1, "one")
     assert processes == 1
-    np.testing.assert_array_equal(one[0].samples, chains[0].samples)
+    np.testing.assert_array_equal(one[0], rows[0])
+    np.testing.assert_array_equal(one_draws[0], draws[0])
     # with another thread running, fork could copy a lock that thread holds,
     # so the trials run in this process
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        two, _, processes = experiments._run_all_trials(config(2), template)
+        two, two_draws, _, processes = trials(2, "two")
     finally:
         release.set()
         other.join(timeout=10)
     assert processes == 1 and not other.is_alive()
-    np.testing.assert_array_equal(two[1].samples, chains[1].samples)
+    np.testing.assert_array_equal(two[1], rows[1])
+    np.testing.assert_array_equal(two_draws[1], draws[1])
 
     # the worker count changes no output byte of either study
     names = ("ess_per_coordinate.csv", "llr_ess.csv", "coverage.csv")
