@@ -2,7 +2,8 @@
 
 One subcommand per module: ``simulate`` writes ``dataset.npz`` and
 ``model.json``, ``mode`` finds the posterior mode, ``check`` estimates the
-local regularity constants, ``sample`` runs a single projected Langevin chain,
+local regularity constants and writes the good set it measured them on,
+``sample`` runs a single projected Langevin chain,
 ``ess`` and ``coverage`` run the two batch studies, and ``gap`` runs the 1-D
 spectral-gap benchmarks. ``mode``, ``check`` and ``sample`` read the dataset
 beside model.json; their seed drives the algorithm, never the data.
@@ -129,6 +130,7 @@ def cmd_check(args) -> int:
                                     r1=gs.r1, grid=args.grid, seed=seed)
     report = assumptions.estimate_constants(model, region)
     io.write_json(args.out, report)
+    gs.save(Path(args.out).parent / "good_set.json")  # for sample --good-set
     print(f"c_S0_hat={report.c_S0_hat:.6g}  C_S1_hat={report.C_S1_hat:.6g}  "
           f"s2_hat={report.s2_hat:.6g}")
     print(f"osc_bound={report.osc_bound:.6g}  C_PI_bound={report.C_PI_bound:.6g}")
@@ -174,7 +176,7 @@ def _experiment_config(args, study: str) -> experiments.ExperimentConfig:
         if value is not None:
             overrides[key] = value
     if args.step is not None:
-        overrides["step_size"] = args.step
+        overrides["sampler_step"] = args.step
     preset = args.preset or file_cfg.get("preset") or (
         "pre_asymptotic" if study == "ess" else "asymptotic")
     model = args.model or file_cfg.get("model") or "logistic"
@@ -269,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-c-s1", type=float)
     p.add_argument("--max-c-pi", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True, help="assumption report JSON path")
+    p.add_argument("--out", required=True, help="assumption report JSON path; "
+                   "good_set.json is written beside it")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sample", help="run one projected Langevin chain")
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-trials", type=int)
         p.add_argument("--n-steps", type=int)
         p.add_argument("--burn-in", type=int)
-        p.add_argument("--step", type=float)
+        p.add_argument("--step", type=float, help="sampler step (default: the preset's)")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default 'out')")
         if study == "coverage":

@@ -4,12 +4,6 @@
 log-posterior bulk ESS over 20 trials with a warm start near the truth.
 ``asymptotic`` (d=10, n=1000) measures frequentist coverage of 95% credible
 intervals over 20 trials, warm-started at the posterior mode.
-
-Step-size convention: the pre-asymptotic study quotes step sizes on the
-normalized log-likelihood scale; the sampler step is step/n so that the
-update reads x + step*grad(loglik) + N(0, 2*step/n). The asymptotic study
-quotes the sampler step directly. Both conventions reproduce the reported
-mixing behavior; see the README for discussion.
 """
 
 from __future__ import annotations
@@ -44,11 +38,9 @@ class ExperimentConfig:
     n_trials: int
     n_steps: int
     burn_in: int
-    step_size: float
-    step_scale: str  # "normalized": sampler step = step_size/n; "literal": as-is
+    sampler_step: float  # SamplerConfig.step_size
     k: int = 1  # gmm component count
     warm_start: str = "truth"  # "truth" | "mode"
-    thin: int = 1
     seed: int = 0
     out_dir: str = "out"
 
@@ -57,8 +49,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.model not in models.KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.step_scale not in ("normalized", "literal"):
-            raise ConfigError(f"unknown step_scale {self.step_scale!r}")
         if self.warm_start not in ("truth", "mode"):
             raise ConfigError(f"unknown warm_start {self.warm_start!r}")
         if self.k < 1:
@@ -70,15 +60,10 @@ class ExperimentConfig:
             raise ConfigError("gmm requires d divisible by k")
         self.sampler_config()  # the sampler's own checks, before any trial runs
 
-    @property
-    def sampler_step(self) -> float:
-        return self.step_size / self.n if self.step_scale == "normalized" else self.step_size
-
     def sampler_config(self, init=None, seed: int = 0) -> sampler.SamplerConfig:
         return sampler.SamplerConfig(
             step_size=self.sampler_step, n_steps=self.n_steps,
-            burn_in=self.burn_in, projection="orthant", init=init,
-            seed=seed, thin=self.thin)
+            burn_in=self.burn_in, projection="orthant", init=init, seed=seed)
 
     def config_hash(self) -> str:
         """Hash of every field except ``out_dir``: the same study written to
@@ -94,19 +79,25 @@ class ExperimentConfig:
 
 def preset_config(preset: str, model: str, *, out_dir: str = "out",
                   seed: int = 0, **overrides) -> ExperimentConfig:
-    """The two pinned study configurations, with flag overrides on top."""
+    """The two pinned study configurations, with flag overrides on top.
+
+    With no ``sampler_step`` given, the step follows the preset's rule at the
+    study's final ``n``: under ``pre_asymptotic`` 0.5/n for logistic and 0.1/n
+    for Poisson and gmm, so that it shrinks as the posterior sharpens; under
+    ``asymptotic`` 0.001.
+    """
     if preset == "pre_asymptotic":
         base = dict(d=200, n=800, n_trials=20, n_steps=30_000, burn_in=20_000,
-                    step_size=0.5 if model == "logistic" else 0.1,
-                    step_scale="normalized", warm_start="truth",
-                    k=2 if model == "gmm" else 1)
+                    warm_start="truth", k=2 if model == "gmm" else 1)
     elif preset == "asymptotic":
         base = dict(d=10, n=1000, n_trials=20, n_steps=30_000, burn_in=20_000,
-                    step_size=0.001, step_scale="literal", warm_start="mode",
+                    sampler_step=0.001, warm_start="mode",
                     k=2 if model == "gmm" else 1)
     else:
         raise ConfigError("preset_config handles pre_asymptotic and asymptotic only")
     base.update(overrides)
+    if "sampler_step" not in base:  # ExperimentConfig rejects an n below 1
+        base["sampler_step"] = (0.5 if model == "logistic" else 0.1) / max(base["n"], 1)
     return ExperimentConfig(preset=preset, model=model, out_dir=out_dir,
                             seed=seed, **base)
 
@@ -138,7 +129,7 @@ def default_theta_star(config: ExperimentConfig) -> np.ndarray:
 def gmm_mixture(k: int, d: int, weights=None) -> dict:
     """Template arguments of a k-component gmm whose d location coordinates
     are k means of dimension d/k: the weights (the defaults when none are
-    given), normalized, and identity covariances."""
+    given), scaled to sum to 1, and identity covariances."""
     if k < 1:
         raise ConfigError(f"gmm needs k >= 1 components, got k={k}")
     if d % k != 0:

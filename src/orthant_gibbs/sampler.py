@@ -9,8 +9,11 @@ The target is anything with ``value``, ``grad``, ``value_and_grad`` and
 ``d``: a ``models.ModelInstance``, whose log density is the unnormalized log
 posterior log pi(theta) + n * loglik(theta), or a ``Target`` built from two
 functions for synthetic tests. No Metropolis correction is applied, so the
-stationary law carries an O(h) discretization bias. Reflection at the
-good-set boundary is approximated by projection.
+stationary law carries a discretization bias, and the projection makes it
+O(sqrt(h)) at the boundary, with an atom of mass O(sqrt(h)) exactly on it:
+on Exp(1) over [0, inf) the mean is 0.76 at h = 0.1 and 0.92 at h = 0.01
+(truth 1), with 28 % and 10 % of the draws at 0. Reflection at the
+boundary is approximated by projection.
 """
 
 from __future__ import annotations

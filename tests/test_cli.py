@@ -236,7 +236,7 @@ def test_exits_2_when_the_gmm_mixture_disagrees_with_model_json(tmp_path, capsys
 
 
 def test_sample_with_a_good_set_file(tmp_path, sim_dir):
-    # README's recipe: the good set around the mode, saved as good_set.json
+    # a good set built in Python, as in README's library example
     config, mode_path = sim_dir / "model.json", tmp_path / "mode.json"
     assert run(["mode", "--model-config", config, "--out", mode_path]) == 0
     split, center = geometry.split_coordinates(io.read_json(mode_path)["theta_hat"], 1e-7)
@@ -250,6 +250,38 @@ def test_sample_with_a_good_set_file(tmp_path, sim_dir):
     assert draws.shape == (200, 3) and geometry.contains_many(gs, draws).all()
     meta = io.read_json(str(chain_path) + ".meta.json")
     assert meta["config"]["projection"] == io.read_json(good_path)
+
+
+@pytest.mark.parametrize("theta_hat", [None, [0.0, 0.0, 0.0]],
+                         ids=["mode", "every_coordinate_at_0"])
+def test_check_writes_the_good_set_it_measured(tmp_path, sim_dir, theta_hat):
+    # every coordinate at 0 is the box-only good set (d0 = 0, r0 = 0)
+    config, mode_path = sim_dir / "model.json", tmp_path / "mode.json"
+    if theta_hat is None:
+        assert run(["mode", "--model-config", config, "--out", mode_path]) == 0
+    else:
+        mode_path.write_text(json.dumps({"theta_hat": theta_hat}))
+    out = tmp_path / "check"
+    out.mkdir()
+    assert run(["check", "--model-config", config, "--mode-result", mode_path,
+                "--tau", 1e-6, "--eps", 0.1, "--grid", 10,
+                "--out", out / "check.json"]) == 0
+    good_path = out / "good_set.json"
+    gs = geometry.GoodSet.from_json(io.read_json(good_path))
+    split, center = geometry.split_coordinates(io.read_json(mode_path)["theta_hat"], 1e-6)
+    delta0, delta1 = geometry.default_deltas(split.d1, eps=0.1)
+    expected = geometry.build_good_set(center, split, delta0 if split.d0 else None,
+                                       delta1, 300)
+    assert io.to_jsonable(gs) == io.to_jsonable(expected)
+
+    chain_path = tmp_path / "chain.csv"
+    assert run(["sample", "--model-config", config, "--step", 1e-3, "--steps", 300,
+                "--burn-in", 100, "--good-set", good_path, "--out", chain_path]) == 0
+    body = np.loadtxt(chain_path, delimiter=",", skiprows=1)
+    chain = sampler.Chain(samples=body[:, :-1], log_posterior=body[:, -1],
+                          config=sampler.SamplerConfig(step_size=1e-3, n_steps=300,
+                                                       burn_in=100, projection=gs))
+    assert chain.samples.shape == (200, 3) and sampler.check_membership(chain)
 
 
 def test_files_in_the_earlier_layout_exit_2_naming_the_missing_key(tmp_path, sim_dir,
@@ -319,6 +351,11 @@ def test_mode_exits_2_on_a_non_finite_prior_rate(tmp_path, sim_dir, capsys):
     ["ess", "--seed", -1],
     ["ess", {"warm_start": "Mode", "preset": "asymptotic"}],
     ["ess", {"d": 0}],
+    ["ess", {"n": 0}],  # the preset step 0.5/n is never divided by 0
+    # keys of the earlier study config: one step field, and no study thin
+    ["ess", {"step_scale": "literal"}],
+    ["ess", {"step_size": 0.5}],
+    ["ess", {"thin": 2}],
 ])
 def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):  # the fields of a --config file
@@ -368,7 +405,7 @@ def test_nan_check_threshold_exits_2_before_the_estimate(tmp_path, sim_dir, caps
     assert run(["check", "--model-config", sim_dir / "model.json",
                 "--mode-result", mode_path, flag, "nan", "--out", out]) == 2
     assert "must not be NaN" in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists() and not (tmp_path / "good_set.json").exists()
 
 
 @pytest.mark.parametrize("flag,text", [
@@ -421,7 +458,22 @@ def test_preset_pins():
     config = experiments.preset_config("pre_asymptotic", "logistic")
     assert (config.d, config.n, config.n_trials) == (200, 800, 20)
     assert (config.n_steps, config.burn_in) == (30_000, 20_000)
-    assert 0.1 <= config.step_size <= 0.5
+    # the pre-asymptotic step is 0.5/n or 0.1/n at the study's final n
+    assert config.sampler_step == 0.5 / 800
+    for model in ("poisson", "gmm"):
+        assert experiments.preset_config("pre_asymptotic", model).sampler_step == 0.1 / 800
+    assert experiments.preset_config("pre_asymptotic", "logistic",
+                                     n=200).sampler_step == 0.5 / 200
     config = experiments.preset_config("asymptotic", "poisson")
     assert (config.d, config.n) == (10, 1000)
-    assert 0.001 <= config.step_size <= 0.01
+    assert config.sampler_step == 0.001
+
+
+@pytest.mark.parametrize("preset", ["pre_asymptotic", "asymptotic"])
+@pytest.mark.parametrize("study", ["ess", "coverage"])
+def test_step_flag_is_the_sampler_step(study, preset):
+    # ess --step 1e-3 under pre_asymptotic ran its chains at 1e-3/800
+    args = cli.build_parser().parse_args([study, "--preset", preset, "--step", "1e-3"])
+    config = cli._experiment_config(args, study)
+    assert config.sampler_step == 1e-3
+    assert config.sampler_config().step_size == 1e-3

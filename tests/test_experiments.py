@@ -14,8 +14,7 @@ from orthant_gibbs.errors import ConfigError
 
 def _config(tmp_path, **overrides):
     fields = dict(preset="custom", model="logistic", d=3, n=50, n_trials=6,
-                  n_steps=40, burn_in=0, step_size=0.1, step_scale="literal",
-                  out_dir=str(tmp_path))
+                  n_steps=40, burn_in=0, sampler_step=0.1, out_dir=str(tmp_path))
     fields.update(overrides)
     return experiments.ExperimentConfig(**fields)
 
@@ -159,8 +158,8 @@ def test_coverage_study_with_every_trial_failed_writes_manifest_and_raises(
 @pytest.mark.parametrize("overrides", [
     {"n_trials": 0},
     {"n_steps": 100, "burn_in": 100},
-    {"step_size": 0.0},
-    {"thin": 0},
+    {"sampler_step": 0.0},
+    {"sampler_step": float("nan")},  # fails every comparison with 0
     {"warm_start": "Mode"},  # was accepted, and warm-started at the truth
     {"seed": -1},  # failed every trial in derive_seed, then the manifest
     {"d": 0},  # ran every trial into DegenerateChainError

@@ -233,7 +233,7 @@ def test_run_trials_reduces_and_aggregates(monkeypatch, tmp_path):
     def config(n_trials, out_dir="out"):
         return experiments.ExperimentConfig(
             preset="custom", model="logistic", d=5, n=50, n_trials=n_trials,
-            n_steps=200, burn_in=100, step_size=1e-3, step_scale="literal",
+            n_steps=200, burn_in=100, sampler_step=1e-3,
             seed=9, out_dir=str(out_dir))
 
     def trials(n_trials, name):
