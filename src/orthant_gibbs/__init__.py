@@ -25,7 +25,6 @@ from .models import (GmmData, LogisticData, ModelInstance, ModelTemplate,
                      PoissonData, Prior, grad_log_lik, grad_log_posterior_unnorm,
                      hess_log_lik, log_lik, log_posterior_unnorm, simulate)
 from .rng import derive_seed, make_rng
-from .sampler import (Chain, SamplerConfig, Target, check_membership,
-                      plmc_step, run_chain)
+from .sampler import Chain, SamplerConfig, check_membership, plmc_step, run_chain
 
 __version__ = "0.1.0"

@@ -48,8 +48,9 @@ class RegionSpec(GoodSet):
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    c_S0_hat: float  # min over the grid of lambda_min(-Hess restricted to S0)
-    C_S1_hat: float  # min over grid and j in S1 of -d_j loglik
+    # a block with no coordinates has no constant: None, written as null
+    c_S0_hat: float | None  # min over the grid of lambda_min(-Hess restricted to S0)
+    C_S1_hat: float | None  # min over grid and j in S1 of -d_j loglik
     s2_hat: float    # max over the grid of the Hessian operator norm
     osc_bound: float
     C_PI_bound: float
@@ -57,8 +58,8 @@ class AssumptionReport:
     seed: int
 
     def __post_init__(self):
-        finite = [self.c_S0_hat, self.C_S1_hat, self.s2_hat, self.osc_bound]
-        if not all(math.isfinite(v) for v in finite if not math.isnan(v)):
+        blocks = [v for v in (self.c_S0_hat, self.C_S1_hat) if v is not None]
+        if not all(math.isfinite(v) for v in blocks + [self.s2_hat, self.osc_bound]):
             raise NumericalError("assumption report contains non-finite estimates")
         # C_PI_bound may be +inf: the vacuous bound reported when a measured
         # curvature/gradient constant is non-positive on the region.
@@ -129,8 +130,8 @@ def estimate_constants(model: models.ModelInstance,
     split = region.split
     d0, d1, n = split.d0, split.d1, model.n
 
-    c_s0 = math.inf if d0 > 0 else math.nan
-    c_s1 = math.inf if d1 > 0 else math.nan
+    c_s0 = math.inf if d0 > 0 else None
+    c_s1 = math.inf if d1 > 0 else None
     s2 = 0.0
     for theta in pts:
         H = models.hess_log_lik(model, theta)

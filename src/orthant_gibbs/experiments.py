@@ -14,14 +14,14 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, io, models, sampler
 from .errors import ConfigError
-from .geometry import split_coordinates
-from .mode import default_box, find_mode_global, find_mode_local
+from .mode import ModeResult, default_box, find_mode_global, find_mode_local
 from .rng import derive_seed
 
 PRESETS = ("pre_asymptotic", "asymptotic", "custom")
@@ -151,55 +151,58 @@ def build_template(config: ExperimentConfig, theta_star=None) -> models.ModelTem
                                 n=config.n, **kwargs)
 
 
-def _warm_start_point(config: ExperimentConfig, model: models.ModelInstance,
-                      trial_seed: int) -> np.ndarray | None:
-    """Explicit start for warm_start='mode'; None keeps the noisy-truth start."""
-    if config.warm_start != "mode":
-        return None
-    if config.model == "gmm":
-        result = find_mode_global(model, default_box(model.theta_star),
-                                  seed=trial_seed, tol=1e-6, n_restarts=4)
-    else:
-        init = np.maximum(model.theta_star + 0.1, 0.5)
-        result = find_mode_local(model, init, tol=1e-8)
-    return result.theta_hat
+def find_mode(model: models.ModelInstance, *, seed: int = 0, tol: float = 1e-8,
+              bounds=None, multistart: bool = False) -> ModeResult:
+    """The posterior mode, by the one rule of the ``mode`` command and the
+    ``asymptotic`` warm start: for a gmm, or with ``multistart``, the best of
+    ``find_mode_global``'s restarts from uniform starts in ``bounds``
+    (default ``default_box(theta*)``) seeded by ``seed``; otherwise one
+    ascent from max(theta* + 0.1, 0.1). The searches are looked up in this
+    module at call time, so a wrapper installed here sees every one."""
+    if multistart or model.kind == "gmm":
+        if bounds is None:
+            bounds = default_box(model.theta_star)
+        return find_mode_global(model, bounds, seed=seed, tol=tol)
+    return find_mode_local(model, np.maximum(model.theta_star + 0.1, 0.1), tol=tol)
 
 
 def run_trial(config: ExperimentConfig, template: models.ModelTemplate,
               trial: int) -> sampler.Chain:
-    """One seeded trial: simulate, warm start, run the chain."""
+    """One seeded trial: simulate, warm start, run the chain. Under
+    ``warm_start="mode"`` the chain starts at ``find_mode`` seeded by the
+    trial's stream 2, else at the truth plus N(0, I) noise."""
     model = template.simulate(derive_seed(config.seed, trial, 0))
-    init = _warm_start_point(config, model, derive_seed(config.seed, trial, 2))
+    init = None
+    if config.warm_start == "mode":
+        init = find_mode(model, seed=derive_seed(config.seed, trial, 2)).theta_hat
     chain_config = config.sampler_config(init, derive_seed(config.seed, trial, 1))
     return sampler.run_chain(model, chain_config)
 
 
-def _ess_row(config: ExperimentConfig, template: models.ModelTemplate,
-             out: Path, trial: int) -> np.ndarray:
-    """Run one trial, write ``chains/<t>.npy`` and return its ESS row: each
-    coordinate's, then the log-posterior's. A chain whose ESS fails stays."""
-    chain = run_trial(config, template, trial)
-    chain.export_npy(_chain_path(out, trial))
+def _ess_summary(chain: sampler.Chain, theta_star: np.ndarray) -> np.ndarray:
+    """A trial's ESS row: each coordinate's, then the log-posterior's."""
     report = diagnostics.ess_report([chain.samples], [chain.log_posterior])
     return np.append(report.per_coordinate, report.llr_ess)
 
 
-def _coverage_row(config: ExperimentConfig, template: models.ModelTemplate,
-                  out: Path, trial: int, level: float) -> np.ndarray:
-    """Run one trial, write ``chains/<t>.npy`` and return its coverage row:
-    whether each coordinate's ``level`` interval holds the truth."""
-    chain = run_trial(config, template, trial)
-    chain.export_npy(_chain_path(out, trial))
-    return diagnostics.interval_hits(chain.samples, template.theta_star, level)
+def _coverage_summary(chain: sampler.Chain, theta_star: np.ndarray,
+                      level: float) -> np.ndarray:
+    """A trial's coverage row: whether each coordinate's ``level`` interval
+    holds the truth."""
+    return diagnostics.interval_hits(chain.samples, theta_star, level)
 
 
-def _trial_outcome(job, config: ExperimentConfig,
-                   template: models.ModelTemplate, out: Path, trial: int, *args):
-    """``(row, None)`` for a trial whose job completed, ``(None, repr(exc))``
-    for one that raised anywhere in it. The jobs look ``run_trial`` up at
-    call time, so a replacement installed on it reaches forked workers too."""
+def _trial_outcome(summarise, config: ExperimentConfig,
+                   template: models.ModelTemplate, out: Path, trial: int):
+    """One trial as one job: run it, write ``chains/<t>.npy`` and return
+    ``(summarise(chain, theta_star), None)``, or ``(None, repr(exc))`` if
+    anything in it raised; a chain whose summary failed stays written.
+    ``run_trial`` is looked up at call time, so a replacement installed on
+    it reaches forked workers too."""
     try:
-        return job(config, template, out, trial, *args), None
+        chain = run_trial(config, template, trial)
+        chain.export_npy(_chain_path(out, trial))
+        return summarise(chain, template.theta_star), None
     except Exception as exc:  # noqa: BLE001 - recorded in the manifest
         return None, repr(exc)
 
@@ -216,7 +219,7 @@ def _processes(n_trials: int) -> int:
 
 
 def _pooled_outcomes(config: ExperimentConfig, template: models.ModelTemplate,
-                     out: Path, processes: int, job, *args) -> list:
+                     out: Path, processes: int, summarise) -> list:
     """Each trial's outcome from a pool of forked workers, in trial order. A
     trial whose worker died, or whose row could not be sent back, is
     recorded as failed with that error, and whatever its worker had written
@@ -233,7 +236,8 @@ def _pooled_outcomes(config: ExperimentConfig, template: models.ModelTemplate,
         futures = []
         for trial in range(config.n_trials):
             try:
-                future = pool.submit(_trial_outcome, job, config, template, out, trial, *args)
+                future = pool.submit(_trial_outcome, summarise, config, template,
+                                     out, trial)
             except BrokenProcessPool as exc:  # a worker died before this trial was queued
                 future = Future()
                 future.set_exception(exc)
@@ -253,8 +257,8 @@ def _pooled_outcomes(config: ExperimentConfig, template: models.ModelTemplate,
 
 
 def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate,
-                    out: Path, job, *args):
-    """Every trial's ``job(config, template, out, trial, *args)``; returns
+                    out: Path, summarise):
+    """Every trial's ``_trial_outcome`` with ``summarise``; returns
     ``(rows, failures, processes)``, ``rows`` mapping each completed trial to
     its row in trial order. With two or more ``_processes`` the jobs run on
     that many forked workers, each sending back only its row, else in this
@@ -262,9 +266,9 @@ def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate,
     trial order, and a trial's draws depend only on its own derived seeds."""
     processes = _processes(config.n_trials)
     if processes > 1:
-        outcomes = _pooled_outcomes(config, template, out, processes, job, *args)
+        outcomes = _pooled_outcomes(config, template, out, processes, summarise)
     else:
-        outcomes = [_trial_outcome(job, config, template, out, trial, *args)
+        outcomes = [_trial_outcome(summarise, config, template, out, trial)
                     for trial in range(config.n_trials)]
     rows = {trial: row for trial, (row, _) in enumerate(outcomes) if row is not None}
     failures = [[trial, error] for trial, (_, error) in enumerate(outcomes)
@@ -278,7 +282,8 @@ def _write_manifest(config: ExperimentConfig, out: Path, failures,
         "config": config,
         "config_hash": config.config_hash(),
         "trial_seeds": {trial: {"data": derive_seed(config.seed, trial, 0),
-                                "chain": derive_seed(config.seed, trial, 1)}
+                                "chain": derive_seed(config.seed, trial, 1),
+                                "mode": derive_seed(config.seed, trial, 2)}
                         for trial in range(config.n_trials)},
         "failures": failures,
         "versions": {"numpy": np.__version__},
@@ -310,7 +315,7 @@ def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)
-    rows, failures, processes = _run_all_trials(config, template, out, _ess_row)
+    rows, failures, processes = _run_all_trials(config, template, out, _ess_summary)
 
     try:
         with open(out / "ess_per_coordinate.csv", "w") as coord_fh, \
@@ -336,10 +341,10 @@ def run_coverage_study(config: ExperimentConfig, theta_star=None,
     t0 = time.perf_counter()
     template = build_template(config, theta_star)
     out = _out_dir(config)
-    rows, failures, processes = _run_all_trials(config, template, out, _coverage_row, level)
+    rows, failures, processes = _run_all_trials(
+        config, template, out, partial(_coverage_summary, level=level))
 
-    split, _ = split_coordinates(template.theta_star, BOUNDARY_SPLIT_TAU)
-    boundary = set(split.S1.tolist())
+    boundary = template.theta_star <= BOUNDARY_SPLIT_TAU
     try:
         if not rows:  # the manifest still records why
             raise ConfigError("coverage needs at least one completed trial")
@@ -347,7 +352,7 @@ def run_coverage_study(config: ExperimentConfig, theta_star=None,
         with open(out / "coverage.csv", "w") as fh:
             fh.write("coordinate,coverage,is_boundary\n")
             for j in range(config.d):
-                fh.write(f"{j},{coverage[j]:.6f},{int(j in boundary)}\n")
+                fh.write(f"{j},{coverage[j]:.6f},{int(boundary[j])}\n")
     finally:
         _write_manifest(config, out, failures, processes,
                         time.perf_counter() - t0,

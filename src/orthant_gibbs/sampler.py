@@ -6,14 +6,14 @@ projection:
     x <- P(x + h * grad_log_density(x) + N(0, 2h I)).
 
 The target is anything with ``value``, ``grad``, ``value_and_grad`` and
-``d``: a ``models.ModelInstance``, whose log density is the unnormalized log
-posterior log pi(theta) + n * loglik(theta), or a ``Target`` built from two
-functions for synthetic tests. No Metropolis correction is applied, so the
-stationary law carries a discretization bias, and the projection makes it
-O(sqrt(h)) at the boundary, with an atom of mass O(sqrt(h)) exactly on it:
-on Exp(1) over [0, inf) the mean is 0.76 at h = 0.1 and 0.92 at h = 0.01
-(truth 1), with 28 % and 10 % of the draws at 0. Reflection at the
-boundary is approximated by projection.
+``d``, such as a ``models.ModelInstance``, whose log density is the
+unnormalized log posterior log pi(theta) + n * loglik(theta). No
+Metropolis correction is applied, so the stationary law carries a
+discretization bias, and the projection makes it O(sqrt(h)) at the
+boundary, with an atom of mass O(sqrt(h)) exactly on it: on Exp(1) over
+[0, inf) the mean is 0.76 at h = 0.1 and 0.92 at h = 0.01 (truth 1), with
+28 % and 10 % of the draws at 0. Reflection at the boundary is
+approximated by projection.
 """
 
 from __future__ import annotations
@@ -29,19 +29,6 @@ from . import io
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .geometry import GoodSet, contains_many, project_good_set, project_orthant
 from .rng import make_rng
-
-
-@dataclass(frozen=True)
-class Target:
-    """Unnormalized log-density on R^d with its gradient, for synthetic
-    tests; the same surface as a ``models.ModelInstance``."""
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    d: int
-
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.value(x), self.grad(x)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,8 @@ def estimate_constants_reference(model, region, *, poincare_factor=4.0):
     split = region.split
     d0, d1, n = split.d0, split.d1, model.n
 
-    c_s0 = math.inf if d0 > 0 else math.nan
-    c_s1 = math.inf if d1 > 0 else math.nan
+    c_s0 = math.inf if d0 > 0 else None
+    c_s1 = math.inf if d1 > 0 else None
     s2 = 0.0
     for theta in pts:
         H = models.hess_log_lik(model, theta)

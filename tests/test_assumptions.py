@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthant_gibbs import assumptions, geometry, io, models
-from orthant_gibbs.errors import ConfigError
+from orthant_gibbs.errors import ConfigError, NumericalError
 from orthant_gibbs.mode import find_mode_local
 from orthant_gibbs.rng import make_rng
 
@@ -91,7 +91,7 @@ def test_estimate_constants_power_iteration_agrees_with_dense(poisson_model):
 
 
 def _bits(report):
-    return tuple(float(v).hex() for v in
+    return tuple(None if v is None else float(v).hex() for v in
                  (report.c_S0_hat, report.C_S1_hat, report.s2_hat,
                   report.osc_bound, report.C_PI_bound))
 
@@ -134,6 +134,10 @@ def test_estimate_constants_is_bitwise_the_per_point_scan(case, request):
         assert report.C_S1_hat <= 0 and report.C_PI_bound == math.inf
     if case == "gmm":
         assert report.c_S0_hat < 0  # the scan crossed indefinite Hessians
+    if case == "d0_zero":  # an empty block has no constant
+        assert report.c_S0_hat is None
+    if case == "logistic_d1_zero":
+        assert report.C_S1_hat is None and math.isfinite(report.C_PI_bound)
 
 
 def _synthetic_hessians(monkeypatch, region, hessians):
@@ -335,6 +339,18 @@ def test_batched_uniform_draw_is_bitwise_the_per_row_draws():
     rng = make_rng(0, 0x5E)
     rows = np.array([rng.uniform(lo, hi) for _ in range(500)])
     assert np.array_equal(batched, rows)
+
+
+@pytest.mark.parametrize("field", ["c_S0_hat", "C_S1_hat", "s2_hat", "osc_bound",
+                                   "C_PI_bound"])
+def test_assumption_report_rejects_nan(field):
+    # an empty block's constant is None; a NaN would be written as the
+    # non-standard JSON literal NaN
+    values = dict(c_S0_hat=0.5, C_S1_hat=None, s2_hat=2.0, osc_bound=0.0,
+                  C_PI_bound=1.0, grid=20, seed=0)
+    assumptions.AssumptionReport(**values)
+    with pytest.raises(NumericalError):
+        assumptions.AssumptionReport(**{**values, field: math.nan})
 
 
 def test_assumption_report_roundtrip(tmp_path, logistic_model):

@@ -284,6 +284,35 @@ def test_check_writes_the_good_set_it_measured(tmp_path, sim_dir, theta_hat):
     assert chain.samples.shape == (200, 3) and sampler.check_membership(chain)
 
 
+@pytest.mark.parametrize("theta_hat,flag,empty", [
+    ([1.0, 1.0, 1.0], "--min-c-s1", "C_S1_hat"),
+    ([0.0, 0.0, 0.0], "--min-c-s0", "c_S0_hat"),
+], ids=["no_boundary_coordinate", "no_regular_coordinate"])
+def test_an_empty_block_has_a_null_constant_and_passes_its_threshold(
+        tmp_path, sim_dir, capsys, theta_hat, flag, empty):
+    # a block with no coordinates has no constant to hold to a threshold,
+    # and check.json stays standard JSON: null, never the literal NaN
+    mode_path, out = tmp_path / "mode.json", tmp_path / "check.json"
+    mode_path.write_text(json.dumps({"theta_hat": theta_hat}))
+    assert run(["check", "--model-config", sim_dir / "model.json", "--mode-result",
+                mode_path, "--grid", 10, flag, 0.01, "--out", out]) == 0
+    assert f"{empty}=null" in capsys.readouterr().out
+    text = out.read_text()
+    assert f'"{empty}": null' in text and "NaN" not in text
+    report = json.loads(text)
+    assert all(report[key] is not None for key in report if key != empty)
+
+
+@pytest.mark.parametrize("bounds", ["[[0, 0, 0]]", "[[0, 0, 0], [5, 5, 5], [6, 6, 6]]",
+                                    "5"])
+def test_mode_bounds_that_are_not_a_pair_exit_2(tmp_path, sim_dir, capsys, bounds):
+    out = tmp_path / "mode.json"
+    assert run(["mode", "--model-config", sim_dir / "model.json", "--global",
+                "--bounds", bounds, "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_files_in_the_earlier_layout_exit_2_naming_the_missing_key(tmp_path, sim_dir,
                                                                   capsys):
     # the prior as {name, lipschitz}, and the good set with a flat S0/S1 and
@@ -377,7 +406,7 @@ def test_bad_study_settings_exit_2_before_any_trial(tmp_path, capsys, argv):
 ])
 def test_bad_tolerance_exits_2(tmp_path, sim_dir, capsys, argv):
     # a NaN or non-positive --tol is never met; a NaN --tau puts every
-    # coordinate in S0 and reports a finite bound beside C_S1_hat = NaN
+    # coordinate in S0 and reports a finite bound beside C_S1_hat = null
     mode_path = tmp_path / "mode.json"
     assert run(["mode", "--model-config", sim_dir / "model.json",
                 "--out", mode_path]) == 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthant_gibbs import experiments, sampler
+from orthant_gibbs import cli, experiments, sampler
 from orthant_gibbs.errors import ConfigError
 
 
@@ -177,3 +177,28 @@ def test_gmm_template_needs_weights_beyond_the_defaults(tmp_path):
     mixture = experiments.gmm_mixture(4, 8, weights=[1.0, 1.0, 1.0, 1.0])
     np.testing.assert_array_equal(mixture["weights"], [0.25] * 4)
     assert mixture["covariances"].shape == (4, 2, 2)
+
+
+def test_a_trial_is_rerun_from_its_manifest(tmp_path):
+    # the default asymptotic gmm study at seed 0: trials 2 and 14 have a
+    # label-swapped mode (per-observation objective -8.12 and -8.05, a
+    # coordinate 3.1 away) beside the best one (-7.74 and -7.70). Each chain
+    # starts where mode, given the manifest's seeds, lands: the best one
+    config = experiments.preset_config("asymptotic", "gmm", out_dir=str(tmp_path),
+                                       n_trials=15, n_steps=20, burn_in=10)
+    out = experiments.run_coverage_study(config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    theta_star = json.dumps(experiments.default_theta_star(config).tolist())
+    for trial in (2, 14):
+        seeds = manifest["trial_seeds"][str(trial)]
+        sim, mode_path = tmp_path / f"sim{trial}", tmp_path / f"mode{trial}.json"
+        assert cli.main(["simulate", "--model", "gmm", "--n", str(config.n),
+                         "--k", str(config.k), "--theta-star", theta_star,
+                         "--seed", str(seeds["data"]), "--out", str(sim)]) == 0
+        assert cli.main(["mode", "--model-config", str(sim / "model.json"),
+                         "--seed", str(seeds["mode"]), "--out", str(mode_path)]) == 0
+        mode = json.loads(mode_path.read_text())
+        sidecar = json.loads((out / "chains" / f"{trial}.npy.meta.json").read_text())
+        start = np.asarray(sidecar["config"]["init"], dtype=float)
+        assert np.asarray(mode["theta_hat"]).tobytes() == start.tobytes()
+        assert mode["objective"] > -7.8

@@ -116,7 +116,7 @@ def test_gmm_warm_start_reaches_the_ascent_from_the_truth(seed):
     # (objective -7.9728) lies beside the one the truth ascends to (-7.6950)
     config = experiments.preset_config("asymptotic", "gmm")
     model = experiments.build_template(config).simulate(seed)
-    theta = experiments._warm_start_point(config, model, seed)
+    theta = experiments.find_mode(model, seed=seed).theta_hat
     local = find_mode_local(model, model.theta_star, tol=1e-6)
     assert models.log_posterior_unnorm(model, theta) / model.n >= local.objective - 1e-9
 

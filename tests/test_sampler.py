@@ -1,5 +1,7 @@
 import os
 import threading
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -11,11 +13,25 @@ from orthant_gibbs.rng import make_rng
 from oracles import truncated_exponential_mean
 
 
+@dataclass(frozen=True)
+class Target:
+    """Unnormalized log-density on R^d with its gradient: the surface
+    ``run_chain`` needs from a ``models.ModelInstance``, built from two
+    functions."""
+
+    value: Callable[[np.ndarray], float]
+    grad: Callable[[np.ndarray], np.ndarray]
+    d: int
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.value(x), self.grad(x)
+
+
 def gaussian_target(mean):
     mean = np.asarray(mean, dtype=float)
-    return sampler.Target(value=lambda x: -0.5 * float(np.sum((x - mean) ** 2)),
-                          grad=lambda x: mean - x,
-                          d=mean.size)
+    return Target(value=lambda x: -0.5 * float(np.sum((x - mean) ** 2)),
+                  grad=lambda x: mean - x,
+                  d=mean.size)
 
 
 class ZeroNoiseRng:
@@ -54,8 +70,8 @@ def test_plmc_step_projects():
 
 
 def test_plmc_step_rejects_nonfinite_drift():
-    bad = sampler.Target(value=lambda x: 0.0,
-                         grad=lambda x: np.array([np.nan]), d=1)
+    bad = Target(value=lambda x: 0.0,
+                 grad=lambda x: np.array([np.nan]), d=1)
     with pytest.raises(NonFiniteError):
         sampler.plmc_step(np.array([1.0]), bad.grad(np.array([1.0])), 0.1,
                           ZeroNoiseRng())
@@ -85,7 +101,7 @@ def test_run_chain_names_the_step_of_a_nonfinite_drift():
         calls.append(x)
         return np.array([np.nan if len(calls) == 6 else 0.0])
 
-    bad = sampler.Target(value=lambda x: 0.0, grad=grad, d=1)
+    bad = Target(value=lambda x: 0.0, grad=grad, d=1)
     config = sampler.SamplerConfig(step_size=0.1, n_steps=20,
                                    init=np.array([1.0]), seed=0)
     with pytest.raises(NonFiniteError, match=r"at step 5$"):
@@ -99,7 +115,7 @@ def test_run_chain_takes_a_model_instance_as_its_target(logistic_model):
     assert logistic_model.value(theta) == models.log_posterior_unnorm(logistic_model, theta)
     np.testing.assert_array_equal(logistic_model.grad(theta),
                                   models.grad_log_posterior_unnorm(logistic_model, theta))
-    target = sampler.Target(
+    target = Target(
         value=lambda x: models.log_posterior_unnorm(logistic_model, x),
         grad=lambda x: models.grad_log_posterior_unnorm(logistic_model, x),
         d=logistic_model.d)
@@ -146,7 +162,7 @@ def test_target_value_and_grad_defaults_to_value_then_grad():
         calls.append("grad")
         return -x
 
-    target = sampler.Target(value=value, grad=grad, d=2)
+    target = Target(value=value, grad=grad, d=2)
     fused_value, fused_grad = target.value_and_grad(np.array([1.0, 2.0]))
     assert fused_value == 1.5 and calls == ["value", "grad"]
     np.testing.assert_array_equal(fused_grad, [-1.0, -2.0])
@@ -179,8 +195,8 @@ def test_run_chain_interior_gaussian_mean():
 
 def test_run_chain_truncated_exponential_mean():
     rate, L = 1.0, 2.0
-    target = sampler.Target(value=lambda x: -rate * float(x[0]),
-                            grad=lambda x: np.array([-rate]), d=1)
+    target = Target(value=lambda x: -rate * float(x[0]),
+                    grad=lambda x: np.array([-rate]), d=1)
     config = sampler.SamplerConfig(step_size=5e-4, n_steps=200_000,
                                    burn_in=20_000, init=np.array([0.5]), seed=3)
     chain = sampler.run_chain(target, config)
@@ -240,7 +256,7 @@ def test_run_trials_reduces_and_aggregates(monkeypatch, tmp_path):
         out = tmp_path / name
         (out / "chains").mkdir(parents=True)
         rows, failures, processes = experiments._run_all_trials(
-            config(n_trials), template, out, experiments._ess_row)
+            config(n_trials), template, out, experiments._ess_summary)
         draws = {t: np.load(out / "chains" / f"{t}.npy") for t in rows}
         return rows, draws, failures, processes
 
