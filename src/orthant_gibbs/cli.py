@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--global", dest="model_kind_global", action="store_true",
                    help="force the multi-start global search")
-    p.add_argument("--bounds", help="JSON [[lo...],[hi...]]: the box the global "
-                   "search draws its starts from")
+    p.add_argument("--bounds", help="JSON [[lo...],[hi...]]: run the global "
+                   "search, drawing its starts from this box")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="mode result JSON path")
     p.set_defaults(func=cmd_mode)

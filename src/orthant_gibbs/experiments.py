@@ -47,18 +47,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.model not in models.KINDS:
-            raise ConfigError(f"unknown model {self.model!r}")
         if self.warm_start not in ("truth", "mode"):
             raise ConfigError(f"unknown warm_start {self.warm_start!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
         # a seed sequence takes no negative entropy
-        if min(self.d, self.n, self.n_trials) < 1 or self.seed < 0:
-            raise ConfigError("d, n and n_trials must be >= 1 and seed >= 0")
-        if self.model == "gmm" and self.d % self.k != 0:
-            raise ConfigError("gmm requires d divisible by k")
-        self.sampler_config()  # the sampler's own checks, before any trial runs
+        if self.n_trials < 1 or self.seed < 0:
+            raise ConfigError("n_trials must be >= 1 and seed >= 0")
+        # the sampler's and the model's own checks, before any trial runs
+        self.sampler_config()
+        build_template(self)
 
     def sampler_config(self, init=None, seed: int = 0) -> sampler.SamplerConfig:
         return sampler.SamplerConfig(
@@ -110,14 +106,12 @@ def default_theta_star(config: ExperimentConfig) -> np.ndarray:
     with one boundary coordinate in the minor component.
     """
     d = config.d
-    if config.model == "gmm":
-        k = config.k
-        m = d // k
-        mu = np.ones((k, m))
-        for j in range(1, k):
-            mu[j] *= 3.0 * j + 1.0
-        mu[-1, min(2, m - 1)] = 0.0
-        return mu.ravel()
+    if config.model == "gmm":  # the j-th of the k means is all 3j + 1
+        m = d // config.k
+        theta = 1.0 + 3.0 * (np.arange(d) // max(m, 1))
+        if m:  # else d < k, which the template rejects
+            theta[(config.k - 1) * m + min(2, m - 1)] = 0.0
+        return theta
     theta = np.zeros(d)
     if config.preset == "pre_asymptotic":
         theta[: min(4, d)] = 1.0
@@ -131,9 +125,7 @@ def gmm_mixture(k: int, d: int, weights=None) -> dict:
     are k means of dimension d/k: the weights (the defaults when none are
     given), scaled to sum to 1, and identity covariances."""
     if k < 1:
-        raise ConfigError(f"gmm needs k >= 1 components, got k={k}")
-    if d % k != 0:
-        raise ConfigError(f"gmm requires d divisible by k, got d={d}, k={k}")
+        raise ConfigError(f"k must be >= 1, got k={k}")
     if weights is None:
         if k > len(GMM_WEIGHTS):
             raise ConfigError(f"gmm with k={k} needs explicit weights; "
@@ -145,8 +137,8 @@ def gmm_mixture(k: int, d: int, weights=None) -> dict:
 
 
 def build_template(config: ExperimentConfig, theta_star=None) -> models.ModelTemplate:
-    theta_star = default_theta_star(config) if theta_star is None else np.asarray(theta_star)
     kwargs = gmm_mixture(config.k, config.d) if config.model == "gmm" else {}
+    theta_star = default_theta_star(config) if theta_star is None else theta_star
     return models.ModelTemplate(kind=config.model, theta_star=theta_star,
                                 n=config.n, **kwargs)
 
@@ -154,12 +146,13 @@ def build_template(config: ExperimentConfig, theta_star=None) -> models.ModelTem
 def find_mode(model: models.ModelInstance, *, seed: int = 0, tol: float = 1e-8,
               bounds=None, multistart: bool = False) -> ModeResult:
     """The posterior mode, by the one rule of the ``mode`` command and the
-    ``asymptotic`` warm start: for a gmm, or with ``multistart``, the best of
-    ``find_mode_global``'s restarts from uniform starts in ``bounds``
-    (default ``default_box(theta*)``) seeded by ``seed``; otherwise one
-    ascent from max(theta* + 0.1, 0.1). The searches are looked up in this
-    module at call time, so a wrapper installed here sees every one."""
-    if multistart or model.kind == "gmm":
+    ``asymptotic`` warm start: for a gmm, with ``multistart`` or with
+    ``bounds`` given, the best of ``find_mode_global``'s restarts from
+    uniform starts in ``bounds`` (default ``default_box(theta*)``) seeded by
+    ``seed``; otherwise one ascent from max(theta* + 0.1, 0.1). The searches
+    are looked up in this module at call time, so a wrapper installed here
+    sees every one."""
+    if multistart or bounds is not None or model.kind == "gmm":
         if bounds is None:
             bounds = default_box(model.theta_star)
         return find_mode_global(model, bounds, seed=seed, tol=tol)

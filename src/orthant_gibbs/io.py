@@ -11,12 +11,16 @@ per field of that kind's data class, under the field's name:
 * ``gmm``: observations ``X`` (n, m), ``weights`` (k,) and
   ``covariances`` (k, m, m).
 
-The values are stored exactly. A model config is a small JSON document
-{kind, d, n, seed, theta_star, prior}, plus the mixture for gmm; its seed is
-the one the dataset was simulated with, and its prior is ``{"rate": r}``.
-Every JSON document the package writes goes through :func:`write_json` and
-is its object's dataclass fields; every one it reads goes through
-:func:`read_json`.
+The values are stored exactly. A model config, ``model.json``, is the
+fields of its ``ModelTemplate`` and the seed the dataset was simulated with:
+{kind, theta_star, n, prior, weights, covariances, seed}, the prior as
+``{"rate": r}`` and the mixture ``null`` unless the kind is gmm.
+
+Every JSON document the package writes goes through :func:`write_json`, and
+every one it reads through :func:`read_json`. A document that describes one
+object is that dataclass's fields, as :func:`to_jsonable` gives them, with
+model.json's seed the one key added; the study manifest and the ``gap``
+output are plain dicts of such values.
 """
 
 from __future__ import annotations
@@ -90,37 +94,20 @@ def load_dataset(path) -> LogisticData | PoissonData | GmmData:
 
 
 def save_model_config(template: ModelTemplate, seed: int, path) -> None:
-    doc = {"kind": template.kind,
-           "d": int(np.asarray(template.theta_star).size),
-           "n": template.n,
-           "seed": int(seed),
-           "theta_star": np.asarray(template.theta_star, dtype=float),
-           "prior": template.prior}
-    if template.weights is not None:
-        doc["weights"] = np.asarray(template.weights)
-    if template.covariances is not None:
-        doc["covariances"] = np.asarray(template.covariances)
-    write_json(path, doc)
+    """Write ``model.json``: the template's fields and the data seed."""
+    write_json(path, {**to_jsonable(template), "seed": seed})
 
 
 def load_model_config(path) -> tuple[ModelTemplate, int]:
+    """The template and data seed :func:`save_model_config` wrote; the
+    template checks its own fields. A missing or unexpected key, such as the
+    ``d`` of earlier versions, is a ConfigError that names it."""
     doc = read_json(path)
-    for key in ("kind", "d", "n", "seed", "theta_star", "prior"):
-        if key not in doc:
-            raise ConfigError(f"model config missing field {key!r}")
-    theta_star = np.asarray(doc["theta_star"], dtype=float)
-    if theta_star.shape != (doc["d"],):
-        raise ConfigError(f"theta_star has shape {theta_star.shape}, but d is {doc['d']}")
-    if not np.all(np.isfinite(theta_star) & (theta_star >= 0)):
-        raise ConfigError("theta_star must be finite and non-negative")
-    if int(doc["n"]) < 1:
-        raise ConfigError(f"n must be >= 1, got {doc['n']}")
-    kwargs = {}
-    if doc.get("weights") is not None:
-        kwargs["weights"] = np.asarray(doc["weights"], dtype=float)
-    if doc.get("covariances") is not None:
-        kwargs["covariances"] = np.asarray(doc["covariances"], dtype=float)
-    template = ModelTemplate(kind=doc["kind"], theta_star=theta_star,
-                             n=int(doc["n"]), prior=Prior.from_json(doc["prior"]),
-                             **kwargs)
-    return template, int(doc["seed"])
+    try:
+        fields = {**doc, "prior": Prior.from_json(doc["prior"])}
+        seed = int(fields.pop("seed"))
+        return ModelTemplate(**fields), seed
+    except KeyError as exc:
+        raise ConfigError(f"model config {path} is missing key {exc}") from exc
+    except TypeError as exc:  # a key ModelTemplate has no field for, or lacks
+        raise ConfigError(f"model config {path}: {exc}") from exc

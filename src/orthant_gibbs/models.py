@@ -509,19 +509,14 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior = Prior()
              T: float = 1.0, weights=None, covariances=None) -> ModelInstance:
     """Draw a synthetic dataset from ``kind`` at truth ``theta_star``.
 
-    Deterministic for a fixed seed. For ``poisson`` the sensitivity matrix A
-    is drawn uniform on [0, 1], with exposure T. For ``gmm``
-    the mixture weights and covariances must be supplied; ``theta_star`` is
+    Deterministic for a fixed seed; the arguments are checked as the fields
+    of a :class:`ModelTemplate`. For ``poisson`` the sensitivity matrix A is
+    drawn uniform on [0, 1], with exposure T. For ``gmm`` ``theta_star`` is
     the flattened stack of the k component means.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    _require_finite(theta_star=theta_star)
-    if np.any(theta_star < 0):
-        raise ConfigError("theta_star must lie in the non-negative orthant")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    template = ModelTemplate(kind, theta_star, n, prior, weights, covariances)
+    theta_star, n, d = template.theta_star, template.n, template.theta_star.size
     rng = make_rng(seed)
-    d = theta_star.shape[0]
 
     if kind == "logistic":
         X = rng.standard_normal((n, d))
@@ -536,18 +531,10 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior = Prior()
         if not np.any(counts > 0):
             raise ConfigError("all simulated counts are zero; increase T or the rates")
         data = PoissonData(A=A, Y=counts / T, T=T)
-    elif kind == "gmm":
-        if weights is None or covariances is None:
-            raise ConfigError("gmm simulation requires weights and covariances")
-        w = np.asarray(weights, dtype=float)
-        k = w.shape[0]
-        if d % k != 0:
-            raise ShapeError("theta_star length must be k * ambient dimension")
-        m = d // k
+    else:
+        w, covs = template.weights, template.covariances
+        k, m = w.size, d // w.size
         mu = theta_star.reshape(k, m)
-        covs = np.asarray(covariances, dtype=float)
-        if covs.shape != (k, m, m):
-            raise ShapeError(f"covariances have shape {covs.shape}, expected ({k},{m},{m})")
         chols = np.stack([np.linalg.cholesky(covs[j]) for j in range(k)])
         labels = rng.choice(k, size=n, p=w)
         Z = rng.standard_normal((n, m))
@@ -556,15 +543,15 @@ def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior = Prior()
             rows = labels == j
             X[rows] += Z[rows] @ chols[j].T
         data = GmmData(X=X, weights=w, covariances=covs)
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
 
     return ModelInstance(data=data, prior=prior, theta_star=theta_star)
 
 
 @dataclass(frozen=True)
 class ModelTemplate:
-    """Everything needed to simulate fresh datasets of one model repeatedly."""
+    """Everything needed to simulate fresh datasets of one model repeatedly,
+    and the one place where a model's kind, truth, n and mixture are checked.
+    The arrays are stored as float arrays."""
 
     kind: str
     theta_star: np.ndarray
@@ -572,6 +559,36 @@ class ModelTemplate:
     prior: Prior = Prior()
     weights: np.ndarray | None = None
     covariances: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown model kind {self.kind!r}")
+        theta_star = np.asarray(self.theta_star, dtype=float)
+        if theta_star.ndim != 1 or theta_star.size == 0 or not np.all(
+                np.isfinite(theta_star) & (theta_star >= 0)):
+            raise ConfigError("theta_star must be a non-empty 1-D array, "
+                              "finite and non-negative")
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "theta_star", theta_star)
+        given = [self.weights is not None, self.covariances is not None]
+        if given != [self.kind == "gmm"] * 2:
+            raise ConfigError("gmm requires weights and covariances, and no other "
+                              "kind takes them")
+        if self.kind != "gmm":
+            return
+        weights = np.asarray(self.weights, dtype=float)
+        covariances = np.asarray(self.covariances, dtype=float)
+        d, k = theta_star.size, weights.size
+        if weights.ndim != 1 or k == 0 or d % k:
+            raise ConfigError(f"gmm requires d divisible by k, the length of its 1-D "
+                              f"weights; got d={d}, weights of shape {weights.shape}")
+        m = d // k
+        if covariances.shape != (k, m, m):
+            raise ShapeError(f"covariances have shape {covariances.shape}, "
+                             f"expected ({k},{m},{m})")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "covariances", covariances)
 
     def simulate(self, seed: int) -> ModelInstance:
         return simulate(self.kind, self.theta_star, self.n, seed, prior=self.prior,

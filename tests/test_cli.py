@@ -210,7 +210,7 @@ def test_check_exits_2_on_a_non_finite_model_config(tmp_path, sim_dir):
 
 @pytest.mark.parametrize("change,message", [
     ({"kind": "poisson"}, "kind is 'logistic', but model.json says 'poisson'"),
-    ({"d": 4, "theta_star": [1, 1, 0, 0]}, "d is 3, but model.json says 4"),
+    ({"theta_star": [1, 1, 0, 0]}, "d is 3, but model.json says 4"),
     ({"n": 299}, "n is 300, but model.json says 299"),
 ])
 def test_exits_2_when_the_dataset_disagrees_with_model_json(tmp_path, sim_dir, capsys,
@@ -301,6 +301,19 @@ def test_an_empty_block_has_a_null_constant_and_passes_its_threshold(
     assert f'"{empty}": null' in text and "NaN" not in text
     report = json.loads(text)
     assert all(report[key] is not None for key in report if key != empty)
+
+
+def test_mode_bounds_select_the_search_in_that_box(tmp_path, sim_dir):
+    # a box given to a logistic mode runs the multi-start search in it, as
+    # with --global; without one, mode runs one ascent from the truth
+    box = "[[0, 0, 0], [3, 3, 3]]"
+    paths = {name: tmp_path / f"{name}.json" for name in ("bounds", "global", "local")}
+    for name, flags in (("bounds", ["--bounds", box]),
+                        ("global", ["--global", "--bounds", box]), ("local", [])):
+        assert run(["mode", "--model-config", sim_dir / "model.json", *flags,
+                    "--out", paths[name]]) == 0
+    assert paths["bounds"].read_bytes() == paths["global"].read_bytes()
+    assert paths["bounds"].read_bytes() != paths["local"].read_bytes()
 
 
 @pytest.mark.parametrize("bounds", ["[[0, 0, 0]]", "[[0, 0, 0], [5, 5, 5], [6, 6, 6]]",

@@ -163,6 +163,10 @@ def test_coverage_study_with_every_trial_failed_writes_manifest_and_raises(
     {"warm_start": "Mode"},  # was accepted, and warm-started at the truth
     {"seed": -1},  # failed every trial in derive_seed, then the manifest
     {"d": 0},  # ran every trial into DegenerateChainError
+    # the model's own checks, made by the study's template
+    {"n": 0},
+    {"model": "probit"},
+    {"model": "gmm", "d": 5, "k": 2},
 ])
 def test_config_rejects_bad_study_settings(tmp_path, overrides):
     with pytest.raises(ConfigError):
@@ -170,10 +174,9 @@ def test_config_rejects_bad_study_settings(tmp_path, overrides):
 
 
 def test_gmm_template_needs_weights_beyond_the_defaults(tmp_path):
-    config = _config(tmp_path, model="gmm", d=8, k=4)
-    with pytest.raises(ConfigError, match="k=4"):
-        experiments.run_ess_study(config)
-    assert not (tmp_path / config.run_tag()).exists()  # no trial ran
+    with pytest.raises(ConfigError, match="k=4"):  # the config builds its template
+        _config(tmp_path, model="gmm", d=8, k=4)
+    assert not any(tmp_path.iterdir())  # no trial ran
     mixture = experiments.gmm_mixture(4, 8, weights=[1.0, 1.0, 1.0, 1.0])
     np.testing.assert_array_equal(mixture["weights"], [0.25] * 4)
     assert mixture["covariances"].shape == (4, 2, 2)

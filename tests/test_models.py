@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, gammaln
 
-from orthant_gibbs import io, models
+from orthant_gibbs import cli, io, models
 from orthant_gibbs.errors import ConfigError, DomainError, ShapeError
 
 from oracles import fd_gradient, fd_hessian, gmm_explicit, rel_err
@@ -170,6 +171,74 @@ def test_simulate_rejects_bad_input():
     with pytest.raises(ConfigError):
         # all-boundary Poisson truth gives zero rates
         models.simulate("poisson", np.zeros(3), 10, seed=0)
+
+
+_GOOD_MODELS = {
+    "logistic": {"kind": "logistic", "theta_star": [1.0, 0.0], "n": 20},
+    "gmm": {"kind": "gmm", "theta_star": [1.0, 1.0, 4.0, 0.0], "n": 20,
+            "weights": [0.7, 0.3], "covariances": [np.eye(2).tolist()] * 2},
+}
+# name: (good model, change, error, message, a simulate or ess call giving
+# the same model, if the flags can express it)
+_BAD_MODELS = {
+    "nan_truth": ("logistic", {"theta_star": [1.0, float("nan")]}, ConfigError,
+                  "finite and non-negative", ["simulate", "--theta-star", "[1, NaN]"]),
+    "inf_truth": ("logistic", {"theta_star": [float("inf"), 0.0]}, ConfigError,
+                  "finite and non-negative", ["simulate", "--theta-star", "[Infinity, 0]"]),
+    "negative_truth": ("logistic", {"theta_star": [1.0, -0.5]}, ConfigError,
+                       "finite and non-negative", ["simulate", "--theta-star", "[1, -0.5]"]),
+    "n_0": ("logistic", {"n": 0}, ConfigError, "n must be >= 1",
+            ["simulate", "--n", "0"]),
+    "unknown_kind": ("logistic", {"kind": "probit"}, ConfigError,
+                     "unknown model kind 'probit'", ["ess", {"model": "probit"}]),
+    "gmm_without_mixture": ("gmm", {"weights": None, "covariances": None}, ConfigError,
+                            "gmm requires weights and covariances", None),
+    "d_not_divisible_by_k": ("gmm", {"theta_star": [1.0, 1.0, 4.0]}, ConfigError,
+                             "gmm requires d divisible by k",
+                             ["simulate", "--model", "gmm", "--theta-star", "[1, 1, 4]"]),
+    "covariance_shape": ("gmm", {"covariances": [np.eye(3).tolist()] * 2}, ShapeError,
+                         "covariances have shape",
+                         ["simulate", "--model", "gmm", "--weights", "[0.5, 0.3, 0.2]",
+                          "--theta-star", "[1, 1, 1, 2, 2, 2]"]),
+}
+
+
+def _cli_exits_2(argv, message, capsys):
+    assert cli.main([str(a) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["template", "simulate", "load_model_config", "cli"])
+@pytest.mark.parametrize("case", list(_BAD_MODELS))
+def test_a_bad_model_is_refused_the_same_way_everywhere(tmp_path, capsys, case, path):
+    good, change, error, message, argv = _BAD_MODELS[case]
+    fields = {**_GOOD_MODELS[good], **change}
+    config = tmp_path / "model.json"  # json writes NaN and Infinity as literals
+    config.write_text(json.dumps({**fields, "prior": {"rate": 0.0}, "seed": 0}))
+    if path == "template":
+        with pytest.raises(error, match=message):
+            models.ModelTemplate(**fields)
+    elif path == "simulate":
+        with pytest.raises(error, match=message):
+            models.simulate(fields.pop("kind"), fields.pop("theta_star"),
+                            fields.pop("n"), 0, **fields)
+    elif path == "load_model_config":
+        with pytest.raises(error, match=message):
+            io.load_model_config(config)
+    else:
+        out = tmp_path / "out"
+        # mode reads the model before the dataset, so none is needed
+        _cli_exits_2(["mode", "--model-config", config, "--out", out], message, capsys)
+        if argv and argv[0] == "simulate":
+            flags = {"--model": "logistic", "--n": 20, "--theta-star": "[1, 0]",
+                     **dict(zip(argv[1::2], argv[2::2]))}
+            _cli_exits_2(["simulate", *(a for pair in flags.items() for a in pair),
+                          "--out", out], message, capsys)
+        elif argv:
+            study = tmp_path / "study.json"
+            study.write_text(json.dumps(argv[1]))
+            _cli_exits_2(["ess", "--config", study, "--out", out], message, capsys)
+        assert not out.exists()
 
 
 def test_simulate_gmm_rejects_covariances_of_the_wrong_shape():
