@@ -54,6 +54,8 @@ class AssumptionReport:
     s2_hat: float    # max over the grid of the Hessian operator norm
     osc_bound: float
     C_PI_bound: float
+    # log10 of the bound, finite where C_PI_bound is past the double range
+    log10_C_PI_bound: float
     grid: int
     seed: int
 
@@ -62,9 +64,12 @@ class AssumptionReport:
         if not all(math.isfinite(v) for v in blocks + [self.s2_hat, self.osc_bound]):
             raise NumericalError("assumption report contains non-finite estimates")
         # C_PI_bound may be +inf: the vacuous bound reported when a measured
-        # curvature/gradient constant is non-positive on the region.
+        # curvature/gradient constant is non-positive on the region, and a
+        # bound past the double range.
         if math.isnan(self.C_PI_bound) or self.C_PI_bound < 0:
             raise NumericalError("C_PI_bound must be a non-negative number")
+        if math.isnan(self.log10_C_PI_bound):
+            raise NumericalError("log10_C_PI_bound must be a number")
 
 
 def sample_region(region: RegionSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -155,12 +160,14 @@ def estimate_constants(model: models.ModelInstance,
         # gradient assumption fails somewhere on the region; the Poincare
         # bound is then vacuous.  Report it as such rather than erroring so
         # callers can inspect the offending estimate.
-        cpi = math.inf
+        cpi = log10_cpi = math.inf
     else:
-        cpi = poincare_bound(c_s0, c_s1, s2, delta0, delta1, d0, d1, n,
-                             prior_osc=prior_osc)
+        args = (c_s0, c_s1, s2, delta0, delta1, d0, d1, n)
+        cpi = poincare_bound(*args, prior_osc=prior_osc)
+        log10_cpi = log10_poincare_bound(*args, prior_osc=prior_osc)
     return AssumptionReport(c_S0_hat=c_s0, C_S1_hat=c_s1, s2_hat=s2,
                             osc_bound=osc, C_PI_bound=cpi,
+                            log10_C_PI_bound=log10_cpi,
                             grid=region.grid, seed=region.seed)
 
 
@@ -208,7 +215,34 @@ def poincare_bound(c_S0: float, C_S1: float, s2: float, delta0: float,
     ``factor`` is 4 for the deterministic statement and 16 for the random
     (empirical-likelihood) variant, where C_S1 plays the role of c_S1.
     Degenerate blocks (d0 = 0 or d1 = 0) drop the corresponding branch.
+    Where the exponential alone is past the double range the product is
+    taken in log space, and a bound past the double range is +inf; its
+    log10 is :func:`log10_poincare_bound`.
     """
+    branch, expo = _poincare_terms(c_S0, C_S1, s2, delta0, delta1, d0, d1, n,
+                                   prior_osc, factor)
+    try:
+        return branch * math.exp(expo)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.log(branch) + expo)
+    except OverflowError:
+        return math.inf
+
+
+def log10_poincare_bound(c_S0: float, C_S1: float, s2: float, delta0: float,
+                         delta1: float, d0: int, d1: int, n: int, *,
+                         prior_osc: float = 0.0, factor: float = 4.0) -> float:
+    """log10 of :func:`poincare_bound`, finite where the bound is not."""
+    branch, expo = _poincare_terms(c_S0, C_S1, s2, delta0, delta1, d0, d1, n,
+                                   prior_osc, factor)
+    return math.log10(branch) + expo / math.log(10.0)
+
+
+def _poincare_terms(c_S0, C_S1, s2, delta0, delta1, d0, d1, n, prior_osc,
+                    factor) -> tuple[float, float]:
+    """The larger branch of the Poincare bound and its exponent."""
     if prior_osc < 0:
         raise ConfigError("prior_osc must be non-negative")
     branches = []
@@ -224,7 +258,7 @@ def poincare_bound(c_S0: float, C_S1: float, s2: float, delta0: float,
         raise ConfigError("at least one of d0, d1 must be positive")
     expo = 2.0 * s2 * (delta0 * delta1 * math.sqrt(d0 * d1) / math.sqrt(n)
                        + delta1**2 * d1 / n)
-    return max(branches) * math.exp(expo)
+    return max(branches), expo
 
 
 def concentration_sample_size(d0: int, d1: int, eps: float,

@@ -84,6 +84,9 @@ def cmd_simulate(args) -> int:
     kwargs = {}
     if args.model == "gmm":
         weights = _parse_vector(args.weights) if args.weights else None
+        if weights is not None and weights.size != args.k:
+            raise ConfigError(f"--weights has {weights.size} entries but --k is "
+                              f"{args.k}; give one weight per component")
         kwargs = experiments.gmm_mixture(args.k, theta_star.size, weights)
     template = models.ModelTemplate(kind=args.model, theta_star=theta_star,
                                     n=args.n, **kwargs)
@@ -137,7 +140,8 @@ def cmd_check(args) -> int:
     c_s0, c_s1 = report.c_S0_hat, report.C_S1_hat  # None for an empty block
     print(f"c_S0_hat={_show(c_s0)}  C_S1_hat={_show(c_s1)}  "
           f"s2_hat={report.s2_hat:.6g}")
-    print(f"osc_bound={report.osc_bound:.6g}  C_PI_bound={report.C_PI_bound:.6g}")
+    print(f"osc_bound={report.osc_bound:.6g}  C_PI_bound={report.C_PI_bound:.6g}  "
+          f"log10_C_PI_bound={report.log10_C_PI_bound:.6g}")
     failed = []  # a threshold on an empty block passes
     if args.min_c_s0 is not None and c_s0 is not None and c_s0 < args.min_c_s0:
         failed.append(f"c_S0_hat {c_s0:.6g} < {args.min_c_s0}")
@@ -168,6 +172,9 @@ def cmd_sample(args) -> int:
 
 def _experiment_config(args, study: str) -> experiments.ExperimentConfig:
     file_cfg = io.read_json(args.config) if args.config else {}
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object of "
+                          f"ExperimentConfig fields, not {type(file_cfg).__name__}")
     seed = _resolve_seed(args.seed, file_cfg.get("seed"))
     overrides = dict(file_cfg)
     overrides.pop("preset", None)

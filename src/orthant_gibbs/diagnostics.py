@@ -26,24 +26,31 @@ RANK_OFFSET_DEN = 0.25
 # ---------------------------------------------------------------------------
 
 
-# Columns per batch. One batch of all 201 columns of a d=200 report raised
-# the peak RSS of a study by about 15 MB; blocks of 16 left it unchanged.
-_ESS_BLOCK = 16
+# The block rule. Columns go through in blocks of at least _ESS_BLOCK_COLUMNS
+# columns and, above that, of as many as fit in _ESS_BLOCK_ELEMENTS draws
+# (chains x draws x columns): 16 columns of one 1000-draw chain. One block of
+# all 201 columns of a 1000-draw d=200 report raised the peak RSS of a study
+# by about 15 MB, and blocks of 16 left it unchanged; so a chain of 1000
+# draws or more keeps blocks of 16, while the 201 columns of a 60-draw chain
+# take one pass. Each column's ESS is bitwise the same in any block.
+_ESS_BLOCK_COLUMNS = 16
+_ESS_BLOCK_ELEMENTS = 16 * 1000
 
 
 def _ess_columns(arr: np.ndarray) -> np.ndarray:
     """Bulk ESS of every column of a (n_chains, n_draws, n_columns) array.
 
-    Columns go through in fixed blocks of ``_ESS_BLOCK``. The first failing
+    Columns go through in blocks by the block rule above. The first failing
     column, in column order, raises.
     """
     if arr.ndim != 3:
         raise ShapeError("draws must be a (n_chains, n_draws, n_columns) array")
     if arr.shape[1] < 8:
         raise ConfigError("each chain must have at least 8 draws")
+    width = max(_ESS_BLOCK_COLUMNS, _ESS_BLOCK_ELEMENTS // (arr.shape[0] * arr.shape[1]))
     out = np.empty(arr.shape[2])
-    for j in range(0, arr.shape[2], _ESS_BLOCK):
-        out[j:j + _ESS_BLOCK] = _ess_block(arr[:, :, j:j + _ESS_BLOCK])
+    for j in range(0, arr.shape[2], width):
+        out[j:j + width] = _ess_block(arr[:, :, j:j + width])
     return out
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, ShapeError
+from .models import _read_only
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,6 @@ def build_good_set(theta_hat, split: CoordinateSplit, delta0: float | None,
     return GoodSet(center=center, split=split, r0=float(r0), r1=float(r1))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _l2(diff):
     # the one ball distance for membership tests and the projection, so a
     # projected point can never fail membership by an ulp. It takes a single
@@ -187,9 +183,10 @@ def contains_many(gs: GoodSet, thetas) -> np.ndarray:
     return ok
 
 
-def project_orthant(theta) -> np.ndarray:
-    """Coordinate-wise max(theta, 0)."""
-    return np.maximum(np.asarray(theta, dtype=float), 0.0)
+def project_orthant(theta, out=None) -> np.ndarray:
+    """Coordinate-wise max(theta, 0), into ``out`` when given (which may be
+    ``theta``)."""
+    return np.maximum(np.asarray(theta, dtype=float), 0.0, out=out)
 
 
 def orthant_box(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -202,17 +199,21 @@ def orthant_box(bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def project_good_set(gs: GoodSet, theta) -> np.ndarray:
-    """Exact Euclidean projection onto the good set.
+def project_good_set(gs: GoodSet, theta, out=None) -> np.ndarray:
+    """Exact Euclidean projection onto the good set, into ``out`` when given
+    (which may be ``theta``).
 
     The set is a product over the (S0, S1) blocks, so the joint projection is
     the product of blockwise projections: radial scaling onto the ball for
-    S0, clamping to [max(c - r1, 0), c + r1] for each S1 coordinate.
+    S0, clamping to [max(c - r1, 0), c + r1] for each S1 coordinate. The
+    blocks cover every coordinate, and each block is read before it is
+    written.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != gs.center.shape:
         raise ShapeError("theta dimension does not match the good set")
-    out = theta.copy()
+    if out is None:
+        out = np.empty_like(theta)
     if gs.split.d0 > 0:
         c0 = gs._ball_center
         v = theta[gs.split.S0] - c0

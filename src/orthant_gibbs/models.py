@@ -56,10 +56,17 @@ def _log_factorial(k: float) -> float:
 
 def _expit(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid 1/(1 + exp(-x)); exactly 0 and 1 far in the tails."""
+    s = np.negative(x)
     with np.errstate(over="ignore"):
-        s = np.exp(-x)
+        np.exp(s, out=s)
     s += 1.0
     return np.reciprocal(s, out=s)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, locked: a cached array is shared by every call."""
+    a.setflags(write=False)
+    return a
 
 
 def _require_finite(**arrays) -> None:
@@ -194,6 +201,17 @@ class PoissonData:
         values, inverse = np.unique(self.counts, return_inverse=True)
         return np.array([_log_factorial(k) for k in values.tolist()])[inverse]
 
+    # the rate check, the gradient and the Hessian read these on every call
+    @cached_property
+    def positive(self) -> np.ndarray:
+        """Y > 0: the observations with a positive count."""
+        return _read_only(self.Y > 0)
+
+    @cached_property
+    def TY(self) -> np.ndarray:
+        """T * Y, unrounded."""
+        return _read_only(self.T * self.Y)
+
 
 @dataclass(frozen=True)
 class GmmData:
@@ -255,6 +273,13 @@ class GmmData:
     @cached_property
     def log_dets(self) -> np.ndarray:
         return np.array([np.linalg.slogdet(c)[1] for c in self.covariances])
+
+    @cached_property
+    def log_norms(self) -> np.ndarray:
+        """log w_j - (m log(2 pi) + log det Sigma_j) / 2, shape (k, 1): the
+        log-normalising constant of each weighted component."""
+        return _read_only((np.log(self.weights)
+                           - 0.5 * (self.m * _LOG_2PI + self.log_dets))[:, None])
 
     @cached_property
     def centre(self) -> np.ndarray:
@@ -321,9 +346,12 @@ class ModelInstance:
 
 # Each kind has one pass over the data that computes what its value, gradient
 # and Hessian share: eta = X theta for logistic, the rates A theta for
-# Poisson, the responsibilities and log-sum-exps for the gmm. The value,
+# Poisson, the responsibilities and log-sum-exp parts for the gmm. The value,
 # gradient and Hessian kernels start from that pass, so a fused value and
-# gradient computes it once.
+# gradient computes it once. A kernel never writes to the pass's arrays, and
+# returns a new array that the caller owns. Temporaries are updated in place,
+# in the same operations and order as the plain expressions in the comments,
+# so that the results are bitwise theirs.
 
 
 class _Kernel(NamedTuple):
@@ -338,11 +366,19 @@ def _logistic_eta(data: LogisticData, theta: np.ndarray) -> np.ndarray:
 
 
 def _logistic_loglik(data: LogisticData, eta: np.ndarray) -> float:
-    return float(np.mean(data.Y * eta - np.logaddexp(0.0, eta)))
+    # mean(Y * eta - logaddexp(0, eta))
+    per_obs = data.Y * eta
+    per_obs -= np.logaddexp(0.0, eta)
+    return float(np.mean(per_obs))
 
 
 def _logistic_grad(data: LogisticData, eta: np.ndarray) -> np.ndarray:
-    return data.X.T @ (data.Y - _expit(eta)) / data.n
+    # X' (Y - expit(eta)) / n
+    residual = _expit(eta)
+    np.subtract(data.Y, residual, out=residual)
+    grad = data.X.T @ residual
+    grad /= data.n
+    return grad
 
 
 def _weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -359,7 +395,7 @@ def _logistic_hess(data: LogisticData, eta: np.ndarray) -> np.ndarray:
 
 def _poisson_rates(data: PoissonData, theta: np.ndarray) -> np.ndarray:
     rates = data.A @ theta
-    if np.any(rates[data.Y > 0] <= 0):
+    if np.any(rates[data.positive] <= 0):
         raise DomainError("Poisson rate A_i theta <= 0 at an observation with Y_i > 0")
     return rates
 
@@ -373,54 +409,68 @@ def _poisson_loglik(data: PoissonData, rates: np.ndarray) -> float:
 
 
 def _poisson_grad(data: PoissonData, rates: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(data.Y > 0, data.T * data.Y / rates, 0.0)
-    return data.A.T @ (ratio - data.T) / data.n
+    # A' (where(Y > 0, T Y / rates, 0) - T) / n
+    ratio = np.divide(data.TY, rates, out=np.zeros(data.n), where=data.positive)
+    ratio -= data.T
+    grad = data.A.T @ ratio
+    grad /= data.n
+    return grad
 
 
 def _poisson_hess(data: PoissonData, rates: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(data.Y > 0, data.T * data.Y / rates**2, 0.0)
+    w = np.divide(data.TY, rates**2, out=np.zeros(data.n), where=data.positive)
     return _weighted_gram(data.A, w)
 
 
-def _gmm_pass(data: GmmData, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centred means v = mu - xbar, responsibilities (k, n) and per-point
-    log-likelihoods at the stacked means ``theta``, from the expansion of
-    ``GmmData`` (one product U b_j per component; its error grows with the
-    means' distance from xbar), with max, exp and sum over the components."""
+class _GmmPass(NamedTuple):
+    v: np.ndarray  # centred means mu - xbar, (k, m)
+    gamma: np.ndarray  # responsibilities, (k, n); each column sums to one
+    shift: np.ndarray  # largest log component density of each point, (n,)
+    total: np.ndarray  # sum over components of exp(log density - shift), (n,)
+
+
+def _gmm_pass(data: GmmData, theta: np.ndarray) -> _GmmPass:
+    """Centred means, responsibilities and the log-sum-exp parts at the
+    stacked means ``theta``, from the expansion of ``GmmData`` (one product
+    U b_j per component; its error grows with the means' distance from
+    xbar), with max, exp and sum over the components. The per-point
+    log-likelihood shift + log(total) is left to the value kernel."""
     v = theta.reshape(data.k, data.m) - data.centre
     b = (v[:, None, :] @ data.precisions)[:, 0]
-    quad = data.centred_quads - 2.0 * (b @ data.centred.T) + np.einsum("km,km->k", b, v)[:, None]
-    logc = (np.log(data.weights) - 0.5 * (data.m * _LOG_2PI + data.log_dets))[:, None] - 0.5 * quad
+    # quad = c - 2 (b U') + (b . v), then logc = log_norms - quad / 2
+    logc = b @ data.centred.T
+    logc *= 2.0
+    np.subtract(data.centred_quads, logc, out=logc)
+    logc += np.einsum("km,km->k", b, v)[:, None]
+    logc *= 0.5
+    np.subtract(data.log_norms, logc, out=logc)
+    # gamma = exp(logc - shift) / total
     shift = logc.max(axis=0)
-    dens = np.exp(logc - shift)
-    total = dens.sum(axis=0)
-    return v, dens / total, shift + np.log(total)
+    logc -= shift
+    gamma = np.exp(logc, out=logc)
+    total = gamma.sum(axis=0)
+    gamma /= total
+    return _GmmPass(v, gamma, shift, total)
 
 
-def gmm_responsibilities(data: GmmData, theta: np.ndarray) -> np.ndarray:
-    """Posterior component responsibilities gamma_ij, shape (n, k).
-
-    Computed in log space with a max shift, so rows sum to one even when the
-    component densities underflow.
-    """
-    return _gmm_pass(data, _as_vector(theta, data.d))[1].T
+def _gmm_loglik(data: GmmData, shared: _GmmPass) -> float:
+    per_point = np.log(shared.total)
+    per_point += shared.shift
+    return float(np.mean(per_point))
 
 
-def _gmm_loglik(data: GmmData, shared) -> float:
-    return float(np.mean(shared[2]))
-
-
-def _gmm_grad(data: GmmData, shared) -> np.ndarray:
+def _gmm_grad(data: GmmData, shared: _GmmPass) -> np.ndarray:
     """Rows P_j (sum_i gamma_ij u_i - (sum_i gamma_ij) v_j) / n."""
-    v, gamma, _ = shared
-    r = gamma @ data.centred - gamma.sum(axis=1)[:, None] * v
-    return ((r[:, None, :] @ data.precisions)[:, 0] / data.n).ravel()
+    v, gamma = shared.v, shared.gamma
+    r = gamma @ data.centred
+    r -= gamma.sum(axis=1)[:, None] * v
+    grad = (r[:, None, :] @ data.precisions)[:, 0]
+    grad /= data.n
+    return grad.ravel()
 
 
-def _gmm_hess(data: GmmData, shared) -> np.ndarray:
-    v, gamma, _ = shared
+def _gmm_hess(data: GmmData, shared: _GmmPass) -> np.ndarray:
+    v, gamma = shared.v, shared.gamma
     k, m, n = data.k, data.m, data.n
     # per-observation scores P_j (x_i - mu_j) = P_j (u_i - v_j), shape (k, n, m)
     g = (data.centred - v[:, None, :]) @ data.precisions
@@ -482,22 +532,38 @@ def grad_log_prior(prior: Prior, theta) -> np.ndarray:
     return np.full_like(theta, -prior.rate)
 
 
+def _posterior_value(model: ModelInstance, theta, kernel: _Kernel, shared) -> float:
+    return log_prior(model.prior, theta) + model.n * kernel.loglik(model.data, shared)
+
+
+def _posterior_grad(model: ModelInstance, kernel: _Kernel, shared) -> np.ndarray:
+    """n * grad l_n plus the prior's constant gradient -rate, in place in
+    the kernel's new array; a flat prior adds nothing, so a zero component
+    keeps its sign where adding a zero vector would make it +0."""
+    grad = kernel.grad(model.data, shared)
+    grad *= model.n
+    if not model.prior.is_flat:
+        grad -= model.prior.rate
+    return grad
+
+
 def log_posterior_unnorm(model: ModelInstance, theta) -> float:
     """log pi(theta) + n * l_n(theta), the unnormalized log Gibbs density."""
-    return log_prior(model.prior, theta) + model.n * log_lik(model, theta)
+    kernel, shared = _shared_pass(model, theta)
+    return _posterior_value(model, theta, kernel, shared)
 
 
 def grad_log_posterior_unnorm(model: ModelInstance, theta) -> np.ndarray:
-    return grad_log_prior(model.prior, theta) + model.n * grad_log_lik(model, theta)
+    kernel, shared = _shared_pass(model, theta)
+    return _posterior_grad(model, kernel, shared)
 
 
 def log_posterior_and_grad(model: ModelInstance, theta) -> tuple[float, np.ndarray]:
     """``log_posterior_unnorm`` and ``grad_log_posterior_unnorm`` from one
     pass over the data; each is bitwise equal to the separate call."""
     kernel, shared = _shared_pass(model, theta)
-    value = log_prior(model.prior, theta) + model.n * kernel.loglik(model.data, shared)
-    grad = grad_log_prior(model.prior, theta) + model.n * kernel.grad(model.data, shared)
-    return value, grad
+    return (_posterior_value(model, theta, kernel, shared),
+            _posterior_grad(model, kernel, shared))
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,11 @@ class SamplerConfig:
         if self.init is not None:
             object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
-    def projector(self) -> Callable[[np.ndarray], np.ndarray]:
+    def projector(self) -> Callable[..., np.ndarray]:
+        """The projection, called as ``project(x)`` or ``project(x, out=buf)``."""
         if isinstance(self.projection, GoodSet):
             gs = self.projection
-            return lambda x: project_good_set(gs, x)
+            return lambda x, out=None: project_good_set(gs, x, out)
         return project_orthant
 
 
@@ -99,14 +100,45 @@ class Chain:
 
 
 def plmc_step(x: np.ndarray, drift, h: float, rng: np.random.Generator,
-              projection: Callable[[np.ndarray], np.ndarray] = project_orthant
-              ) -> np.ndarray:
+              projection: Callable[..., np.ndarray] = project_orthant, *,
+              out: np.ndarray | None = None) -> np.ndarray:
     """One projected Langevin step from ``x`` with the drift already taken
-    there, and per-coordinate noise variance 2h."""
+    there, and per-coordinate noise variance 2h:
+    projection(x + h * drift + sqrt(2h) * xi), xi = ``rng.standard_normal(d)``.
+
+    The step is formed and projected in one array, ``out`` when given (not
+    ``x``), with ``projection(step, out=step)``. The draw is scaled in place,
+    so ``rng`` must hand out an array that no one reads again."""
     drift = np.asarray(drift, dtype=float)
-    if not np.all(np.isfinite(drift)):
+    # a NaN or inf entry makes drift . drift non-finite, and so can finite
+    # entries above 1e154; the exact test runs only then
+    if not math.isfinite(drift @ drift) and not np.isfinite(drift).all():
         raise NonFiniteError("non-finite drift")
-    return projection(x + h * drift + math.sqrt(2.0 * h) * rng.standard_normal(x.shape[0]))
+    noise = rng.standard_normal(x.shape[0])
+    noise *= math.sqrt(2.0 * h)
+    step = np.multiply(drift, h, out=out)
+    step += x
+    step += noise
+    return projection(step, out=step)
+
+
+# Normal draws per block of a chain's noise: 64 KB, 40 steps at d = 200
+_NOISE_BLOCK = 8192
+
+
+class _BlockNoise:
+    """The N(0, I) draws of a chain's ``n_steps`` steps, one row of d per
+    ``standard_normal`` call, taken from ``rng`` a block of rows at a time.
+    One (rows, d) draw is bitwise the ``rows`` draws of (d,) it replaces, so
+    the chain sees the numbers of a draw per step."""
+
+    def __init__(self, rng: np.random.Generator, d: int, n_steps: int):
+        rows = max(1, _NOISE_BLOCK // d)
+        self._rows = (row for start in range(0, n_steps, rows)
+                      for row in rng.standard_normal((min(rows, n_steps - start), d)))
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return next(self._rows)
 
 
 def _initial_state(target, config: SamplerConfig, rng: np.random.Generator,
@@ -124,7 +156,9 @@ def run_chain(target, config: SamplerConfig) -> Chain:
 
     A kept state's log density comes from the fused value-and-gradient call
     at the next step's drift; only the last kept state, when it is the final
-    state, needs a lone value call.
+    state, needs a lone value call. The steps take their noise from
+    ``_BlockNoise`` and alternate between two state arrays, so a target must
+    not keep the array it is called with.
     """
     project = config.projector()
     rng = make_rng(config.seed, 0x10)
@@ -135,6 +169,9 @@ def run_chain(target, config: SamplerConfig) -> Chain:
     kept = -(-(config.n_steps - config.burn_in) // config.thin)
     samples = np.empty((kept, target.d))
     log_post = np.empty(kept)
+    noise = _BlockNoise(rng, target.d, config.n_steps)
+    spare = np.empty(target.d)  # the next state's array
+    h = config.step_size
     row = 0
     x_kept = False  # x is samples[row - 1], and its log density is still owed
     t0 = time.perf_counter()
@@ -144,7 +181,7 @@ def run_chain(target, config: SamplerConfig) -> Chain:
         else:
             drift = target.grad(x)
         try:
-            x = plmc_step(x, drift, config.step_size, rng, project)
+            x, spare = plmc_step(x, drift, h, noise, project, out=spare), x
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at step {k}") from None
         x_kept = k >= config.burn_in and (k - config.burn_in) % config.thin == 0

@@ -11,8 +11,8 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.stats import norm, rankdata
 
-from orthant_gibbs import assumptions, models
-from orthant_gibbs.errors import (ConfigError, DegenerateChainError,
+from orthant_gibbs import assumptions, geometry, models
+from orthant_gibbs.errors import (ConfigError, DegenerateChainError, DomainError,
                                   NumericalError, ShapeError)
 from orthant_gibbs.rng import make_rng
 
@@ -208,10 +208,90 @@ def estimate_constants_reference(model, region, *, poincare_factor=4.0):
     osc = assumptions.osc_bound(s2, delta0, delta1, d0, d1, n)
     prior_osc = model.prior.oscillation(region.r1 if d1 > 0 else 0.0)
     if (d0 > 0 and c_s0 <= 0) or (d1 > 0 and c_s1 <= 0):
-        cpi = math.inf
+        cpi = log10_cpi = math.inf
     else:
-        cpi = assumptions.poincare_bound(c_s0, c_s1, s2, delta0, delta1, d0, d1, n,
-                                         prior_osc=prior_osc, factor=poincare_factor)
+        args = (c_s0, c_s1, s2, delta0, delta1, d0, d1, n)
+        cpi = assumptions.poincare_bound(*args, prior_osc=prior_osc,
+                                         factor=poincare_factor)
+        log10_cpi = assumptions.log10_poincare_bound(*args, prior_osc=prior_osc,
+                                                     factor=poincare_factor)
     return assumptions.AssumptionReport(c_S0_hat=c_s0, C_S1_hat=c_s1, s2_hat=s2,
                                         osc_bound=osc, C_PI_bound=cpi,
+                                        log10_C_PI_bound=log10_cpi,
                                         grid=region.grid, seed=region.seed)
+
+
+def log_lik_and_grad_reference(data, theta):
+    """Average log-likelihood and its gradient by each kind's formulas as
+    first written: one expression each, a new array per operation, the gmm's
+    log-normalising constants rebuilt and its per-point log-likelihoods taken
+    on every call. Kept as the reference the in-place kernels must match
+    bitwise."""
+    if data.kind == "logistic":
+        eta = data.X @ theta
+        value = float(np.mean(data.Y * eta - np.logaddexp(0.0, eta)))
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-eta))
+        return value, data.X.T @ (data.Y - s) / data.n
+    if data.kind == "poisson":
+        rates = data.A @ theta
+        if np.any(rates[data.Y > 0] <= 0):
+            raise DomainError("Poisson rate A_i theta <= 0 at an observation with Y_i > 0")
+        counts = np.round(data.T * data.Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_term = np.where(counts > 0,
+                                counts * np.log(np.maximum(data.T * rates, 1e-300)), 0.0)
+            ratio = np.where(data.Y > 0, data.T * data.Y / rates, 0.0)
+        per_obs = -data.T * rates + log_term - data.log_count_factorials
+        return float(np.mean(per_obs)), data.A.T @ (ratio - data.T) / data.n
+    v = theta.reshape(data.k, data.m) - data.centre
+    b = (v[:, None, :] @ data.precisions)[:, 0]
+    quad = (data.centred_quads - 2.0 * (b @ data.centred.T)
+            + np.einsum("km,km->k", b, v)[:, None])
+    log_norms = np.log(data.weights) - 0.5 * (data.m * np.log(2.0 * np.pi) + data.log_dets)
+    logc = log_norms[:, None] - 0.5 * quad
+    shift = logc.max(axis=0)
+    dens = np.exp(logc - shift)
+    total = dens.sum(axis=0)
+    gamma = dens / total
+    value = float(np.mean(shift + np.log(total)))
+    r = gamma @ data.centred - gamma.sum(axis=1)[:, None] * v
+    return value, ((r[:, None, :] @ data.precisions)[:, 0] / data.n).ravel()
+
+
+def posterior_reference(model, theta):
+    """log prior + n * l_n and its gradient as first written: the prior's
+    gradient is a vector, zero for a flat prior, added to n * grad l_n."""
+    theta = np.asarray(theta, dtype=float)
+    value, grad = log_lik_and_grad_reference(model.data, theta)
+    rate = model.prior.rate
+    if rate == 0:
+        return 0.0 + model.n * value, np.zeros_like(theta) + model.n * grad
+    return (float(np.sum(np.log(rate) - rate * theta)) + model.n * value,
+            np.full_like(theta, -rate) + model.n * grad)
+
+
+def run_chain_reference(model, config):
+    """``sampler.run_chain`` as first written: one (d,) normal draw per
+    step, a new array per operation, and each kept state's log density by a
+    separate call. Returns (samples, log_posterior)."""
+    if isinstance(config.projection, geometry.GoodSet):
+        def project(x):
+            return geometry.project_good_set(config.projection, x)
+    else:
+        def project(x):
+            return np.maximum(x, 0.0)
+    rng = make_rng(config.seed, 0x10)
+    if config.init is not None:
+        x = project(config.init)
+    else:
+        x = project(model.theta_star + rng.standard_normal(model.d))
+    h = config.step_size
+    samples, log_post = [], []
+    for k in range(config.n_steps):
+        drift = posterior_reference(model, x)[1]
+        x = project(x + h * drift + math.sqrt(2.0 * h) * rng.standard_normal(x.shape[0]))
+        if k >= config.burn_in and (k - config.burn_in) % config.thin == 0:
+            samples.append(x)
+            log_post.append(posterior_reference(model, x)[0])
+    return np.array(samples), np.array(log_post)

@@ -254,6 +254,24 @@ def test_poincare_bound_pinned_values():
     assert val == pytest.approx(4.0 * math.exp(2.0 * (1.0 + 1.0)))
 
 
+def test_poincare_bound_past_the_double_range_is_inf_with_a_finite_log10():
+    # exponent 2 * s2 * delta1^2 * d1 / n = 2000, past exp's range
+    args = (1.0, 0.5, 100.0, 0.0, 10.0, 0, 1, 10)
+    assert assumptions.poincare_bound(*args) == math.inf
+    log10 = assumptions.log10_poincare_bound(*args)
+    assert log10 == pytest.approx(math.log10(4.0 / (100 * 0.25)) + 2000.0 / math.log(10.0))
+    # exp(720) alone overflows, but the branch 4e-6 brings the product back
+    # into range: it is taken in log space
+    small = (1.0, 1.0, 3600.0, 0.0, 10.0, 0, 1, 1000)
+    expected = 10.0 ** assumptions.log10_poincare_bound(*small)
+    assert math.isfinite(expected)
+    assert assumptions.poincare_bound(*small) == pytest.approx(expected, rel=1e-12)
+    # in range, the bound is the product as before, and its log10 agrees
+    mid = (1.0, 0.5, 1.0, 1.0, 1.0, 2, 1, 10)
+    assert assumptions.log10_poincare_bound(*mid) == pytest.approx(
+        math.log10(assumptions.poincare_bound(*mid)), rel=1e-12)
+
+
 def test_poincare_bound_random_variant_factor():
     a = assumptions.poincare_bound(100.0, 0.5, 0.0, 1.0, 1.0, 1, 1, 10)
     b = assumptions.poincare_bound(100.0, 0.5, 0.0, 1.0, 1.0, 1, 1, 10,
@@ -342,12 +360,12 @@ def test_batched_uniform_draw_is_bitwise_the_per_row_draws():
 
 
 @pytest.mark.parametrize("field", ["c_S0_hat", "C_S1_hat", "s2_hat", "osc_bound",
-                                   "C_PI_bound"])
+                                   "C_PI_bound", "log10_C_PI_bound"])
 def test_assumption_report_rejects_nan(field):
     # an empty block's constant is None; a NaN would be written as the
     # non-standard JSON literal NaN
     values = dict(c_S0_hat=0.5, C_S1_hat=None, s2_hat=2.0, osc_bound=0.0,
-                  C_PI_bound=1.0, grid=20, seed=0)
+                  C_PI_bound=1.0, log10_C_PI_bound=0.0, grid=20, seed=0)
     assumptions.AssumptionReport(**values)
     with pytest.raises(NumericalError):
         assumptions.AssumptionReport(**{**values, field: math.nan})

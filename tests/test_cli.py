@@ -519,3 +519,39 @@ def test_step_flag_is_the_sampler_step(study, preset):
     config = cli._experiment_config(args, study)
     assert config.sampler_step == 1e-3
     assert config.sampler_config().step_size == 1e-3
+
+
+def test_simulate_names_a_k_and_weights_disagreement(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run(["simulate", "--model", "gmm", "--k", 2, "--weights", "[0.5,0.3,0.2]",
+                "--n", 50, "--theta-star", "[1,1,1,2,2,2]", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--weights has 3 entries but --k is 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1]", "3", '"ess"', "null"])
+def test_a_study_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    out = tmp_path / "run"
+    assert run(["ess", "--config", config, "--out", out]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_on_a_poisson_input_of_the_study_shape_exits_0_or_1(tmp_path, capsys):
+    # the pre_asymptotic Poisson shape: both constants are positive, and the
+    # Poincare bound's exponent (about 2830) is far past exp's range
+    sim, mode, report = tmp_path / "sim", tmp_path / "mode.json", tmp_path / "check.json"
+    truth = json.dumps([1.0] * 4 + [0.0] * 196)
+    assert run(["simulate", "--model", "poisson", "--n", 800, "--theta-star", truth,
+                "--seed", 0, "--out", sim]) == 0
+    assert run(["mode", "--model-config", sim / "model.json", "--out", mode]) == 0
+    assert run(["check", "--model-config", sim / "model.json", "--mode-result", mode,
+                "--out", report]) in (0, 1)
+    doc = json.loads(report.read_text())
+    assert doc["C_S1_hat"] > 0 and doc["c_S0_hat"] > 0
+    assert doc["C_PI_bound"] == float("inf")
+    assert 1000 < doc["log10_C_PI_bound"] < float("inf")
+    assert "log10_C_PI_bound=" in capsys.readouterr().out

@@ -94,6 +94,40 @@ def test_batched_ess_matches_scalar_reference(seed, n_chains, n_draws, rhos, n_t
     assert diagnostics.bulk_ess(columns[0]) == pytest.approx(expected[0], rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("n_draws, d", [(60, 200), (1000, 40)])
+def test_ess_report_is_bitwise_the_per_column_bulk_ess(n_draws, d):
+    # positively correlated columns: at 60 draws an independent column can
+    # give a non-positive estimate, which raises
+    draws = _ar1_columns(11, 1, n_draws, np.linspace(0.0, 0.95, d), d // 2)
+    trace = ar1_chain(0.5, n_draws, 12)[None, :]
+    report = diagnostics.ess_report(list(draws), list(trace))
+    columns = [draws[:, :, j] for j in range(d)] + [trace]
+    expected = np.array([diagnostics.bulk_ess(col) for col in columns])
+    assert np.append(report.per_coordinate, report.llr_ess).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_chains, n_draws, widths", [
+    (1, 60, [201]),  # a 60-draw study chain: one pass
+    (1, 1000, [16] * 12 + [9]),  # 1000 draws or more: blocks of 16
+    (1, 4000, [16] * 12 + [9]),
+    (2, 200, [40] * 5 + [1]),  # 16 columns of a 1000-draw chain hold 16000 draws
+])
+def test_ess_blocks_are_sized_by_element_count(n_chains, n_draws, widths, monkeypatch):
+    seen = []
+    block = diagnostics._ess_block
+
+    def counting(arr):
+        seen.append(arr.shape[2])
+        return block(arr)
+
+    monkeypatch.setattr(diagnostics, "_ess_block", counting)
+    # random walks, whose ESS estimates are positive at any of these lengths
+    walks = np.cumsum(np.random.default_rng(5).standard_normal((n_chains, n_draws, 201)),
+                      axis=1)
+    diagnostics.ess_report(list(walks[:, :, :200]), list(walks[:, :, 200]))
+    assert seen == widths
+
+
 def test_ess_report_constant_column_raises():
     draws = _ar1_columns(8, 1, 400, [0.5] * 200, 100)
     draws[:, :, 137] = 0.0  # a coordinate stuck at the boundary

@@ -180,9 +180,11 @@ def test_write_json_bytes_match_the_explicit_documents(tmp_path):
          {"theta_hat": [1.5, 0.0], "objective": -0.25, "grad_norm": 1e-9,
           "iterations": 7, "converged": True, "restarts_used": 0}),
         (AssumptionReport(c_S0_hat=0.5, C_S1_hat=None, s2_hat=2.0,
-                          osc_bound=0.125, C_PI_bound=math.inf, grid=20, seed=4),
+                          osc_bound=0.125, C_PI_bound=math.inf,
+                          log10_C_PI_bound=2831.5, grid=20, seed=4),
          {"c_S0_hat": 0.5, "C_S1_hat": None, "s2_hat": 2.0,
-          "osc_bound": 0.125, "C_PI_bound": math.inf, "grid": 20, "seed": 4}),
+          "osc_bound": 0.125, "C_PI_bound": math.inf, "log10_C_PI_bound": 2831.5,
+          "grid": 20, "seed": 4}),
         (gs,
          {"center": [1.5, 0.0], "split": {"S0": [0], "S1": [1]},
           "r0": gs.r0, "r1": gs.r1}),

@@ -10,7 +10,7 @@ from orthant_gibbs import experiments, geometry, io, models, sampler
 from orthant_gibbs.errors import ConfigError, NonFiniteError
 from orthant_gibbs.rng import make_rng
 
-from oracles import truncated_exponential_mean
+from oracles import run_chain_reference, truncated_exponential_mean
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,44 @@ def test_run_chain_is_a_loop_of_plmc_step():
             kept.append(x)
     assert np.array_equal(chain.samples, np.array(kept))
     assert np.array_equal(chain.log_posterior, [target.value(x) for x in kept])
+
+
+def _good_set(model):
+    split, center = geometry.split_coordinates(model.theta_star, 1e-7)
+    delta0, delta1 = geometry.default_deltas(split.d1)
+    return geometry.build_good_set(center, split, delta0 if split.d0 else None,
+                                   delta1, model.n)
+
+
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("good_set", [False, True])
+@pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model", "gmm_model"])
+def test_run_chain_is_bitwise_the_reference_loop(fixture, good_set, thin, request,
+                                                 monkeypatch):
+    # noise blocks of 4 steps: 23 steps cross five of them and end in a part
+    # of one; at thin 1 the last state is kept, at thin 3 it is not
+    model = request.getfixturevalue(fixture)
+    monkeypatch.setattr(sampler, "_NOISE_BLOCK", 4 * model.d)
+    config = sampler.SamplerConfig(
+        step_size=1e-4, n_steps=23, burn_in=5, seed=3, thin=thin,
+        projection=_good_set(model) if good_set else "orthant")
+    chain = sampler.run_chain(model, config)
+    samples, log_post = run_chain_reference(model, config)
+    assert chain.samples.tobytes() == samples.tobytes()
+    assert chain.log_posterior.tobytes() == log_post.tobytes()
+
+
+def test_run_chain_crosses_a_noise_block_bitwise_at_the_study_shape(gmm_workload_model):
+    # d = 200 gives blocks of 40 steps, so 45 steps draw one full block and
+    # part of a second
+    model = gmm_workload_model
+    assert sampler._NOISE_BLOCK // model.d == 40
+    config = sampler.SamplerConfig(step_size=0.1 / model.n, n_steps=45, burn_in=30,
+                                   seed=1)
+    chain = sampler.run_chain(model, config)
+    samples, log_post = run_chain_reference(model, config)
+    assert chain.samples.tobytes() == samples.tobytes()
+    assert chain.log_posterior.tobytes() == log_post.tobytes()
 
 
 def test_run_chain_names_the_step_of_a_nonfinite_drift():
