@@ -106,8 +106,8 @@ def _good_set(model):
 @pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model", "gmm_model"])
 def test_run_chain_is_bitwise_the_reference_loop(fixture, good_set, thin, request,
                                                  monkeypatch):
-    # noise blocks of 4 steps: 23 steps cross five of them and end in a part
-    # of one; at thin 1 the last state is kept, at thin 3 it is not
+    # noise blocks of 4 steps: 23 steps take five full blocks and 3 rows of a
+    # sixth; at thin 1 the last state is kept, at thin 3 it is not
     model = request.getfixturevalue(fixture)
     monkeypatch.setattr(sampler, "_NOISE_BLOCK", 4 * model.d)
     config = sampler.SamplerConfig(
