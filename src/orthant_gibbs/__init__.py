@@ -17,9 +17,9 @@ from .errors import (ConfigError, DegenerateChainError, DomainError,
                      RangeError, ShapeError)
 from .experiments import (ExperimentConfig, preset_config, run_coverage_study,
                           run_ess_study)
-from .geometry import (CoordinateSplit, GoodSet, build_good_set, contains,
-                       contains_many, default_deltas, project_good_set,
-                       project_orthant, split_coordinates)
+from .geometry import (CoordinateSplit, GoodSet, build_good_set, contains_many,
+                       default_deltas, project_good_set, project_orthant,
+                       split_coordinates)
 from .mode import ModeResult, find_mode_global, find_mode_local, maximize_projected
 from .models import (GmmData, LogisticData, ModelInstance, ModelTemplate,
                      PoissonData, Prior, grad_log_lik, grad_log_posterior_unnorm,

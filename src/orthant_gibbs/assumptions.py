@@ -73,7 +73,7 @@ class AssumptionReport:
 
 
 def sample_region(region: RegionSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform draws from the ball-times-box region (rejection-free),
+    """Uniform draws from the ball times the set's box (rejection-free),
     clamped to the orthant.
 
     The region is defined intersected with the orthant; clamping a ball draw
@@ -88,9 +88,7 @@ def sample_region(region: RegionSpec, rng: np.random.Generator, size: int) -> np
         radii = region.r0 * rng.random(size) ** (1.0 / split.d0)
         out[:, split.S0] += radii[:, None] * z
     if split.d1 > 0:
-        lo = np.maximum(region.center[split.S1] - region.r1, 0.0)
-        hi = region.center[split.S1] + region.r1
-        out[:, split.S1] = rng.uniform(lo, hi, (size, split.d1))
+        out[:, split.S1] = rng.uniform(*region.box, (size, split.d1))
     return np.maximum(out, 0.0)
 
 

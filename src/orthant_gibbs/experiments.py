@@ -136,11 +136,10 @@ def gmm_mixture(k: int, d: int, weights=None) -> dict:
             "covariances": np.stack([np.eye(d // k)] * k)}
 
 
-def build_template(config: ExperimentConfig, theta_star=None) -> models.ModelTemplate:
+def build_template(config: ExperimentConfig) -> models.ModelTemplate:
     kwargs = gmm_mixture(config.k, config.d) if config.model == "gmm" else {}
-    theta_star = default_theta_star(config) if theta_star is None else theta_star
-    return models.ModelTemplate(kind=config.model, theta_star=theta_star,
-                                n=config.n, **kwargs)
+    return models.ModelTemplate(kind=config.model, n=config.n,
+                                theta_star=default_theta_star(config), **kwargs)
 
 
 def find_mode(model: models.ModelInstance, *, seed: int = 0, tol: float = 1e-8,
@@ -299,14 +298,14 @@ def _chain_path(out: Path, trial: int) -> Path:
     return out / "chains" / f"{trial}.npy"
 
 
-def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
+def run_ess_study(config: ExperimentConfig) -> Path:
     """Run trials and write per-coordinate and log-posterior ESS tables.
 
     A trial whose ESS fails is recorded in the manifest's failures like a
     failed trial; its chain is still written.
     """
     t0 = time.perf_counter()
-    template = build_template(config, theta_star)
+    template = build_template(config)
     out = _out_dir(config)
     rows, failures, processes = _run_all_trials(config, template, out, _ess_summary)
 
@@ -325,14 +324,13 @@ def run_ess_study(config: ExperimentConfig, theta_star=None) -> Path:
     return out
 
 
-def run_coverage_study(config: ExperimentConfig, theta_star=None,
-                       level: float = 0.95) -> Path:
+def run_coverage_study(config: ExperimentConfig, level: float = 0.95) -> Path:
     """Run trials and write the per-coordinate coverage table: the share of
     completed trials whose ``level`` interval holds the truth."""
     if not 0 < level < 1:
         raise ConfigError(f"level must lie in (0, 1), got {level}")
     t0 = time.perf_counter()
-    template = build_template(config, theta_star)
+    template = build_template(config)
     out = _out_dir(config)
     rows, failures, processes = _run_all_trials(
         config, template, out, partial(_coverage_summary, level=level))

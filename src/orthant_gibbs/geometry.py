@@ -60,16 +60,12 @@ def split_coordinates(theta_hat, tau: float) -> tuple[CoordinateSplit, np.ndarra
     return split, center
 
 
-def default_deltas(d1: int, eps: float = 0.05, cbar0: float = 1.0,
-                   cbar1: float = 1.0) -> tuple[float, float]:
-    """Default radius multipliers delta0 = cbar0*log(1/eps),
-    delta1 = cbar1*log(d1/eps). The cbar constants default to 1; no principled
-    value is available, so they are exposed as configuration."""
+def default_deltas(d1: int, eps: float = 0.05) -> tuple[float, float]:
+    """Default radius multipliers delta0 = log(1/eps), delta1 = log(d1/eps):
+    the paper's rule with its constants cbar0 = cbar1 = 1."""
     if not 0 < eps < 1:
         raise ConfigError("eps must lie in (0, 1)")
-    delta0 = cbar0 * math.log(1.0 / eps)
-    delta1 = cbar1 * math.log(max(d1, 1) / eps)
-    return delta0, delta1
+    return math.log(1.0 / eps), math.log(max(d1, 1) / eps)
 
 
 @dataclass(frozen=True)
@@ -93,13 +89,15 @@ class GoodSet:
         if not (0 <= self.r0 < math.inf and 0 <= self.r1 < math.inf):
             raise ConfigError(f"radii must be finite and >= 0, got r0={self.r0}, r1={self.r1}")
 
-    # the projection reads these on every sampler step; computed once per set
+    # computed once per set; the projection and the membership test read
+    # both, and the Monte Carlo region reads the box
     @cached_property
     def _ball_center(self) -> np.ndarray:
         return _read_only(self.center[self.split.S0])
 
     @cached_property
-    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box (lo, hi) on S1: [max(c - r1, 0), c + r1] per coordinate."""
         c1 = self.center[self.split.S1]
         return _read_only(np.maximum(c1 - self.r1, 0.0)), _read_only(c1 + self.r1)
 
@@ -159,27 +157,21 @@ def _l2(diff):
     return np.sqrt(np.sum(diff * diff))
 
 
-def contains(gs: GoodSet, theta) -> bool:
-    """Membership of one point: the one-row case of :func:`contains_many`."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != gs.center.shape:
-        raise ShapeError("theta dimension does not match the good set")
-    return bool(contains_many(gs, theta[None])[0])
-
-
 def contains_many(gs: GoodSet, thetas) -> np.ndarray:
     """Closed-set membership of each row of a (rows x d) sample matrix, with
-    exact comparisons; a row holding NaN is outside."""
+    exact comparisons against the set's ball and box, the ones the projection
+    maps onto; a row holding NaN is outside."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != gs.center.shape[0]:
         raise ShapeError("sample dimension does not match the good set")
     ok = np.all(thetas >= 0, axis=1)
     if gs.split.d0 > 0:
-        diff = thetas[:, gs.split.S0] - gs.center[gs.split.S0]
+        diff = thetas[:, gs.split.S0] - gs._ball_center
         ok &= np.array([_l2(row) for row in diff]) <= gs.r0
     if gs.split.d1 > 0:
-        diff = np.abs(thetas[:, gs.split.S1] - gs.center[gs.split.S1])
-        ok &= np.max(diff, axis=1) <= gs.r1
+        lo, hi = gs.box
+        block = thetas[:, gs.split.S1]
+        ok &= np.all((lo <= block) & (block <= hi), axis=1)
     return ok
 
 
@@ -221,7 +213,7 @@ def project_good_set(gs: GoodSet, theta, out=None) -> np.ndarray:
         if norm > gs.r0:
             scale = gs.r0 / norm
             # rounding can leave the stored point an ulp outside the closed
-            # ball that contains() tests exactly; step the factor down until
+            # ball that contains_many tests exactly; step the factor down until
             # membership holds for the representation actually stored
             cand = np.maximum(c0 + v * scale, 0.0)
             while _l2(cand - c0) > gs.r0:
@@ -231,6 +223,6 @@ def project_good_set(gs: GoodSet, theta, out=None) -> np.ndarray:
         else:
             out[gs.split.S0] = np.maximum(c0 + v, 0.0)
     if gs.split.d1 > 0:
-        lo, hi = gs._box
+        lo, hi = gs.box
         out[gs.split.S1] = np.minimum(np.maximum(theta[gs.split.S1], lo), hi)
     return out

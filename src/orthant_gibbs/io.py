@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -80,17 +81,21 @@ def save_dataset(model: ModelInstance, path) -> None:
 
 def load_dataset(path) -> LogisticData | PoissonData | GmmData:
     """The data object stored by :func:`save_dataset`. Its class's own checks
-    reject non-finite values, bad labels and bad shapes."""
-    with np.load(path, allow_pickle=False) as stored:
-        kind = str(stored["kind"]) if "kind" in stored.files else None
-        if kind not in _DATA_CLASSES:
-            raise ConfigError(f"dataset {path} has unknown model kind {kind!r}")
-        cls = _DATA_CLASSES[kind]
-        names = [f.name for f in dataclasses.fields(cls)]
-        missing = [name for name in names if name not in stored.files]
-        if missing:
-            raise ConfigError(f"{kind} dataset {path} is missing {missing}")
-        return cls(**{name: stored[name] for name in names})
+    reject non-finite values, bad labels and bad shapes; an empty, cut or
+    corrupted file is a ConfigError that names it."""
+    try:
+        with np.load(path, allow_pickle=False) as stored:
+            kind = str(stored["kind"]) if "kind" in stored.files else None
+            if kind not in _DATA_CLASSES:
+                raise ConfigError(f"dataset {path} has unknown model kind {kind!r}")
+            cls = _DATA_CLASSES[kind]
+            names = [f.name for f in dataclasses.fields(cls)]
+            missing = [name for name in names if name not in stored.files]
+            if missing:
+                raise ConfigError(f"{kind} dataset {path} is missing {missing}")
+            return cls(**{name: stored[name] for name in names})
+    except (EOFError, zipfile.BadZipFile) as exc:  # the member reads raise it too
+        raise ConfigError(f"dataset {path} cannot be read: {exc}") from exc
 
 
 def save_model_config(template: ModelTemplate, seed: int, path) -> None:

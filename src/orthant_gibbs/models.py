@@ -9,8 +9,8 @@ Three models are supported, all parameterized over the non-negative orthant:
   covariances; the parameter is the flattened stack of component means.
 
 Each kind has a data class, which carries the kind's name. A
-``ModelInstance`` pairs a dataset with a ``Prior`` (flat, or exponential
-with a given rate) and is the sampling target: its ``value``, ``grad`` and
+``ModelInstance`` pairs a dataset with a ``Prior(rate)`` (exponential, or
+flat at rate 0) and is the sampling target: its ``value``, ``grad`` and
 ``value_and_grad`` are the unnormalized log Gibbs density
 log prior(theta) + n * l_n(theta) and its gradient.
 
@@ -99,16 +99,6 @@ class Prior:
         if not (self.rate == 0 or 0 < self.rate < math.inf):
             raise ConfigError(f"prior rate must be 0 (flat) or finite and > 0, "
                               f"got {self.rate}")
-
-    @staticmethod
-    def flat() -> "Prior":
-        return Prior()
-
-    @staticmethod
-    def exponential(rate: float = 1.0) -> "Prior":
-        if rate == 0:
-            raise ConfigError("exponential prior rate must be > 0, got 0")
-        return Prior(float(rate))
 
     @property
     def is_flat(self) -> bool:
@@ -523,13 +513,6 @@ def log_prior(prior: Prior, theta) -> float:
     if prior.is_flat:
         return 0.0
     return float(np.sum(np.log(prior.rate) - prior.rate * theta))
-
-
-def grad_log_prior(prior: Prior, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if prior.is_flat:
-        return np.zeros_like(theta)
-    return np.full_like(theta, -prior.rate)
 
 
 def _posterior_value(model: ModelInstance, theta, kernel: _Kernel, shared) -> float:

@@ -99,22 +99,20 @@ class Chain:
         self._write_meta(path)
 
 
-def plmc_step(x: np.ndarray, drift, h: float, rng: np.random.Generator,
+def plmc_step(x: np.ndarray, drift, h: float, noise: np.ndarray,
               projection: Callable[..., np.ndarray] = project_orthant, *,
               out: np.ndarray | None = None) -> np.ndarray:
     """One projected Langevin step from ``x`` with the drift already taken
-    there, and per-coordinate noise variance 2h:
-    projection(x + h * drift + sqrt(2h) * xi), xi = ``rng.standard_normal(d)``.
+    there: projection(x + h * drift + sqrt(2h) * noise), ``noise`` a (d,)
+    N(0, I) draw that is scaled in place, so no one may read it again.
 
     The step is formed and projected in one array, ``out`` when given (not
-    ``x``), with ``projection(step, out=step)``. The draw is scaled in place,
-    so ``rng`` must hand out an array that no one reads again."""
+    ``x``), with ``projection(step, out=step)``."""
     drift = np.asarray(drift, dtype=float)
     # a NaN or inf entry makes drift . drift non-finite, and so can finite
     # entries above 1e154; the exact test runs only then
     if not math.isfinite(drift @ drift) and not np.isfinite(drift).all():
         raise NonFiniteError("non-finite drift")
-    noise = rng.standard_normal(x.shape[0])
     noise *= math.sqrt(2.0 * h)
     step = np.multiply(drift, h, out=out)
     step += x
@@ -124,21 +122,6 @@ def plmc_step(x: np.ndarray, drift, h: float, rng: np.random.Generator,
 
 # Normal draws per block of a chain's noise: 64 KB, 40 steps at d = 200
 _NOISE_BLOCK = 8192
-
-
-class _BlockNoise:
-    """The N(0, I) draws of a chain's ``n_steps`` steps, one row of d per
-    ``standard_normal`` call, taken from ``rng`` a block of rows at a time.
-    One (rows, d) draw is bitwise the ``rows`` draws of (d,) it replaces, so
-    the chain sees the numbers of a draw per step."""
-
-    def __init__(self, rng: np.random.Generator, d: int, n_steps: int):
-        rows = max(1, _NOISE_BLOCK // d)
-        self._rows = (row for start in range(0, n_steps, rows)
-                      for row in rng.standard_normal((min(rows, n_steps - start), d)))
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        return next(self._rows)
 
 
 def _initial_state(target, config: SamplerConfig, rng: np.random.Generator,
@@ -156,9 +139,10 @@ def run_chain(target, config: SamplerConfig) -> Chain:
 
     A kept state's log density comes from the fused value-and-gradient call
     at the next step's drift; only the last kept state, when it is the final
-    state, needs a lone value call. The steps take their noise from
-    ``_BlockNoise`` and alternate between two state arrays, so a target must
-    not keep the array it is called with.
+    state, needs a lone value call. Each step takes one row of noise, drawn
+    ``_NOISE_BLOCK`` numbers at a time: one (rows, d) draw is bitwise the
+    ``rows`` draws of (d,) it stands for. The steps alternate between two
+    state arrays, so a target must not keep the array it is called with.
     """
     project = config.projector()
     rng = make_rng(config.seed, 0x10)
@@ -169,19 +153,22 @@ def run_chain(target, config: SamplerConfig) -> Chain:
     kept = -(-(config.n_steps - config.burn_in) // config.thin)
     samples = np.empty((kept, target.d))
     log_post = np.empty(kept)
-    noise = _BlockNoise(rng, target.d, config.n_steps)
+    per_block = max(1, _NOISE_BLOCK // target.d)  # steps per noise block
     spare = np.empty(target.d)  # the next state's array
     h = config.step_size
     row = 0
     x_kept = False  # x is samples[row - 1], and its log density is still owed
     t0 = time.perf_counter()
     for k in range(config.n_steps):
+        if k % per_block == 0:
+            noise = rng.standard_normal((min(per_block, config.n_steps - k), target.d))
         if x_kept:
             log_post[row - 1], drift = target.value_and_grad(x)
         else:
             drift = target.grad(x)
         try:
-            x, spare = plmc_step(x, drift, h, noise, project, out=spare), x
+            x, spare = plmc_step(x, drift, h, noise[k % per_block], project,
+                                 out=spare), x
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at step {k}") from None
         x_kept = k >= config.burn_in and (k - config.burn_in) % config.thin == 0

@@ -323,7 +323,7 @@ def test_check_well_separation_positive_gap(logistic_model, monkeypatch):
 
 
 def test_check_well_separation_gap_is_pinned(logistic_model, monkeypatch):
-    # membership goes through geometry.contains; the gap is bitwise the one
+    # membership goes through geometry.contains_many; the gap is bitwise the one
     # the former region-specific membership test gave on this fixture, with
     # 500 candidate points
     monkeypatch.setattr(assumptions, "_OUTSIDE_SAMPLES", 500)

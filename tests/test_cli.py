@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,36 @@ def test_exits_2_when_the_dataset_disagrees_with_model_json(tmp_path, sim_dir, c
     assert run(["mode", "--model-config", bad, "--out", tmp_path / "mode.json"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "mode.json").exists()
+
+
+def _corrupt(path: Path, name: str) -> None:
+    stored = bytearray(path.read_bytes())
+    if name == "empty":
+        del stored[:]
+    elif name == "cut":
+        del stored[100:]
+    else:  # one flipped bit in the middle of the X member fails its CRC on read
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("X.npy")
+        stored[info.header_offset + info.file_size // 2] ^= 0x10
+    path.write_bytes(stored)
+
+
+@pytest.mark.parametrize("name", ["empty", "cut", "bit_flip"])
+def test_exits_2_on_an_unreadable_dataset(tmp_path, sim_dir, capsys, name):
+    mode_path = tmp_path / "mode.json"
+    assert run(["mode", "--model-config", sim_dir / "model.json",
+                "--out", mode_path]) == 0
+    bad = _beside_the_dataset(tmp_path, sim_dir)
+    dataset = bad.parent / "dataset.npz"
+    _corrupt(dataset, name)
+    out = tmp_path / "out"
+    for command in (["mode"], ["check", "--mode-result", mode_path, "--grid", 10],
+                    ["sample", "--step", 1e-3, "--steps", 20]):
+        capsys.readouterr()
+        assert run([*command, "--model-config", bad, "--out", out]) == 2, command
+        assert f"dataset {dataset} cannot be read" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["weights", "covariances"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from orthant_gibbs import geometry, io
+from orthant_gibbs import assumptions, geometry, io
 from orthant_gibbs.errors import ConfigError, ShapeError
 
 
@@ -82,19 +82,24 @@ def test_build_good_set_warns_on_large_ball():
     assert len(messages) == 1
 
 
+def contains(gs, theta) -> bool:
+    """Membership of one point, as a one-row batch."""
+    return bool(geometry.contains_many(gs, np.asarray(theta)[None])[0])
+
+
 def test_contains_center_and_boundary():
     gs = make_good_set()
-    assert geometry.contains(gs, gs.center)
+    assert contains(gs, gs.center)
     # S1 coordinate just past r1: outside (closed set, exact comparison)
     theta = gs.center.copy()
     theta[gs.split.S1[0]] = gs.r1 + 1e-9
-    assert not geometry.contains(gs, theta)
+    assert not contains(gs, theta)
     theta[gs.split.S1[0]] = gs.r1
-    assert geometry.contains(gs, theta)
+    assert contains(gs, theta)
     # S0 displaced by exactly r0 along one axis: inside (closed ball)
     theta = gs.center.copy()
     theta[gs.split.S0[0]] += gs.r0
-    assert geometry.contains(gs, theta)
+    assert contains(gs, theta)
 
 
 def test_contains_requires_orthant():
@@ -102,13 +107,13 @@ def test_contains_requires_orthant():
     theta = gs.center.copy()
     theta[0] = -0.01  # inside the ball but outside the orthant
     assert np.linalg.norm(theta[gs.split.S0] - gs.center[gs.split.S0]) <= gs.r0
-    assert not geometry.contains(gs, theta)
+    assert not contains(gs, theta)
 
 
 def test_contains_shape_error():
     gs = make_good_set()
     with pytest.raises(ShapeError):
-        geometry.contains(gs, np.zeros(7))
+        contains(gs, np.zeros(7))
 
 
 def test_contains_many_matches_scalar():
@@ -119,7 +124,7 @@ def test_contains_many_matches_scalar():
     thetas = np.vstack([thetas, [np.nan, 2.0, 0.0, 0.0], [1.0, 2.0, np.nan, 0.0],
                         np.full(4, np.nan)])
     many = geometry.contains_many(gs, thetas)
-    singles = np.array([geometry.contains(gs, t) for t in thetas])
+    singles = np.array([contains(gs, t) for t in thetas])
     np.testing.assert_array_equal(many, singles)
     assert not many[-3:].any()
 
@@ -172,23 +177,35 @@ def test_project_good_set_lands_inside(seed):
     rng = np.random.default_rng(seed)
     theta = gs.center + rng.uniform(-3, 3, size=4)
     proj = geometry.project_good_set(gs, theta)
-    assert geometry.contains(gs, proj)
+    assert contains(gs, proj)
 
 
 @given(seed=st.integers(0, 2**32 - 1), d0=st.integers(50, 150))
 @settings(max_examples=10, deadline=None)
 def test_projected_batch_passes_contains_many(seed, d0):
-    # projected points sit on the ball's sphere to the last ulp, so the batch
-    # membership test must reduce each row in the projection's own order
+    # projected points sit on the ball's sphere and on the box's faces to the
+    # last ulp, so the batch membership test must reduce each row in the
+    # projection's own order and compare against the box it clamps to. The
+    # second set is one a --good-set file can give: a boundary centre c > 0,
+    # whose face c + r1 lies, once rounded, up to an ulp more than r1 from c
     rng = np.random.default_rng(seed)
     theta_hat = np.concatenate([rng.uniform(1.0, 3.0, d0), np.zeros(3)])
-    gs = make_good_set(theta_hat, delta0=3.0, delta1=5.0, n=800)
-    outside = theta_hat + rng.uniform(-0.5, 0.5, size=(500, theta_hat.size))
-    assert not geometry.contains_many(gs, outside).any()
-    proj = np.array([geometry.project_good_set(gs, t) for t in outside])
-    many = geometry.contains_many(gs, proj)
-    assert many.all()
-    np.testing.assert_array_equal(many, [geometry.contains(gs, t) for t in proj])
+    built = make_good_set(theta_hat, delta0=3.0, delta1=5.0, n=800)
+    theta_hat[d0:] = rng.uniform(0.0, 1.0, 3)
+    doc = {**io.to_jsonable(built), "center": theta_hat.tolist(),
+           "r1": rng.uniform(0.01, 0.5)}
+    for gs in (built, geometry.GoodSet.from_json(doc)):
+        outside = theta_hat + rng.uniform(-0.5, 0.5, size=(500, theta_hat.size))
+        assert not geometry.contains_many(gs, outside).any()
+        proj = np.array([geometry.project_good_set(gs, t) for t in outside])
+        many = geometry.contains_many(gs, proj)
+        assert many.all()
+        np.testing.assert_array_equal(many, [contains(gs, t) for t in proj])
+        # the constants' Monte Carlo region draws from the same set
+        region = assumptions.RegionSpec(center=gs.center, split=gs.split,
+                                        r0=gs.r0, r1=gs.r1)
+        assert geometry.contains_many(gs, assumptions.sample_region(
+            region, np.random.default_rng(seed), 500)).all()
 
 
 def test_project_good_set_fixes_members():

@@ -47,7 +47,7 @@ def test_gmm_dataset_roundtrip(tmp_path, fixture, request):
 
 @pytest.mark.parametrize("template", [
     models.ModelTemplate(kind="poisson", theta_star=np.array([1.0, 0.5, 0.0]), n=80,
-                         prior=models.Prior.exponential(2.0)),
+                         prior=models.Prior(2.0)),
     models.ModelTemplate(kind="gmm", theta_star=np.array([1.0, 1.0, 0.1, 4.0, 0.0, 4.0]),
                          n=60, weights=np.array([0.7, 0.3]),
                          covariances=np.stack([[[1.0, 0.3, 0.0], [0.3, 2.0, 0.1],

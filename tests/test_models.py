@@ -122,7 +122,7 @@ def test_expit_matches_scipy():
 
 
 @pytest.mark.parametrize("fixture", ALL_MODELS)
-@pytest.mark.parametrize("prior", [models.Prior.flat(), models.Prior.exponential(1.5)])
+@pytest.mark.parametrize("prior", [models.Prior(), models.Prior(1.5)])
 def test_log_posterior_and_grad_is_bitwise_the_separate_calls(fixture, prior, request):
     from dataclasses import replace
     model = replace(request.getfixturevalue(fixture), prior=prior)
@@ -349,45 +349,50 @@ def test_model_instance_validates_theta_star_shape():
 
 def test_flat_prior_contributes_nothing(logistic_model):
     theta = np.array([0.5, 0.2, 0.1])
-    assert models.log_prior(models.Prior.flat(), theta) == 0.0
+    assert models.Prior().is_flat and logistic_model.prior.is_flat
+    assert models.log_prior(models.Prior(), theta) == 0.0
     np.testing.assert_array_equal(
-        models.grad_log_prior(models.Prior.flat(), theta), np.zeros(3))
+        models.grad_log_posterior_unnorm(logistic_model, theta),
+        logistic_model.n * models.grad_log_lik(logistic_model, theta))
     assert models.log_posterior_unnorm(logistic_model, theta) == pytest.approx(
         logistic_model.n * models.log_lik(logistic_model, theta))
 
 
-def test_exponential_prior_log_density_and_grad():
-    prior = models.Prior.exponential(rate=2.0)
-    theta = np.array([1.0, 3.0])
-    expected = 2 * np.log(2.0) - 2.0 * 4.0
+def test_exponential_prior_log_density_and_grad(logistic_model):
+    from dataclasses import replace
+    prior = models.Prior(rate=2.0)
+    theta = np.array([1.0, 3.0, 0.5])
+    expected = 3 * np.log(2.0) - 2.0 * 4.5
     assert models.log_prior(prior, theta) == pytest.approx(expected)
-    np.testing.assert_allclose(models.grad_log_prior(prior, theta), [-2.0, -2.0])
+    # the prior's gradient is -rate in every coordinate
+    model = replace(logistic_model, prior=prior)
+    np.testing.assert_allclose(
+        models.grad_log_posterior_unnorm(model, theta),
+        model.n * models.grad_log_lik(model, theta) - 2.0, rtol=1e-14)
 
 
 @given(rate=st.floats(0.1, 5.0), r=st.floats(0.01, 10.0))
 @settings(max_examples=50, deadline=None)
 def test_exponential_prior_oscillation(rate, r):
     # log-density is linear with slope -rate, so osc on [0, r] is rate*r
-    prior = models.Prior.exponential(rate)
+    prior = models.Prior(rate)
     assert prior.oscillation(r) == pytest.approx(rate * r, rel=1e-9)
 
 
 def test_prior_json_roundtrip():
-    for prior, doc in ((models.Prior.flat(), {"rate": 0.0}),
-                       (models.Prior.exponential(0.5), {"rate": 0.5})):
+    for prior, doc in ((models.Prior(), {"rate": 0.0}),
+                       (models.Prior(0.5), {"rate": 0.5})):
         assert io.to_jsonable(prior) == doc  # the prior's bytes in model.json
         assert models.Prior.from_json(doc) == prior
 
 
-@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0])
 def test_exponential_prior_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    # rate 0 is the flat prior, so it is not among these
     with pytest.raises(ConfigError, match="rate"):
-        models.Prior.exponential(rate)
-    if rate != 0.0:  # rate 0 is the flat prior
-        with pytest.raises(ConfigError, match="rate"):
-            models.Prior(rate=rate)
-        with pytest.raises(ConfigError, match="rate"):
-            models.Prior.from_json({"rate": rate})
+        models.Prior(rate=rate)
+    with pytest.raises(ConfigError, match="rate"):
+        models.Prior.from_json({"rate": rate})
 
 
 def test_model_kind_comes_from_its_data(logistic_model, poisson_model, gmm_model):
@@ -400,12 +405,11 @@ def test_model_kind_comes_from_its_data(logistic_model, poisson_model, gmm_model
 
 def test_posterior_grad_includes_prior(poisson_model):
     from dataclasses import replace
-    model = replace(poisson_model, prior=models.Prior.exponential(1.5))
+    model = replace(poisson_model, prior=models.Prior(1.5))
     theta = np.abs(model.theta_star) + 0.5
-    expected = (model.n * models.grad_log_lik(model, theta)
-                + models.grad_log_prior(model.prior, theta))
     np.testing.assert_allclose(
-        models.grad_log_posterior_unnorm(model, theta), expected)
+        models.grad_log_posterior_unnorm(model, theta),
+        posterior_reference(model, theta)[1])
 
 
 @given(seed=st.integers(0, 1000))

@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from orthant_gibbs import experiments, geometry, io, models, sampler
+from orthant_gibbs import diagnostics, experiments, geometry, io, models, sampler
 from orthant_gibbs.errors import ConfigError, NonFiniteError
 from orthant_gibbs.rng import make_rng
 
@@ -34,11 +34,6 @@ def gaussian_target(mean):
                   d=mean.size)
 
 
-class ZeroNoiseRng:
-    def standard_normal(self, size):
-        return np.zeros(size)
-
-
 def test_config_validation():
     for step in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ConfigError):
@@ -54,18 +49,18 @@ def test_config_validation():
 def test_plmc_step_deterministic_limb():
     target = gaussian_target([2.0, 2.0])
     x = np.array([1.0, 1.0])
-    out = sampler.plmc_step(x, target.grad(x), 0.25, ZeroNoiseRng())
+    out = sampler.plmc_step(x, target.grad(x), 0.25, np.zeros(2))
     np.testing.assert_allclose(out, x + 0.25 * (np.array([2.0, 2.0]) - x))
     # zero drift at the mode: the step is the identity for interior points
     mode = np.array([2.0, 2.0])
-    out = sampler.plmc_step(mode, target.grad(mode), 0.25, ZeroNoiseRng())
+    out = sampler.plmc_step(mode, target.grad(mode), 0.25, np.zeros(2))
     np.testing.assert_allclose(out, [2.0, 2.0])
 
 
 def test_plmc_step_projects():
     target = gaussian_target([-5.0, 2.0])
     x = np.array([0.1, 2.0])
-    out = sampler.plmc_step(x, target.grad(x), 1.0, ZeroNoiseRng())
+    out = sampler.plmc_step(x, target.grad(x), 1.0, np.zeros(2))
     assert out[0] == 0.0  # clamped by the orthant projection
 
 
@@ -74,7 +69,7 @@ def test_plmc_step_rejects_nonfinite_drift():
                  grad=lambda x: np.array([np.nan]), d=1)
     with pytest.raises(NonFiniteError):
         sampler.plmc_step(np.array([1.0]), bad.grad(np.array([1.0])), 0.1,
-                          ZeroNoiseRng())
+                          np.zeros(1))
 
 
 def test_run_chain_is_a_loop_of_plmc_step():
@@ -87,7 +82,8 @@ def test_run_chain_is_a_loop_of_plmc_step():
     x = np.array([0.5, 0.5, 0.5])
     kept = []
     for k in range(config.n_steps):
-        x = sampler.plmc_step(x, target.grad(x), config.step_size, rng)
+        x = sampler.plmc_step(x, target.grad(x), config.step_size,
+                              rng.standard_normal(3))
         if k >= config.burn_in and (k - config.burn_in) % config.thin == 0:
             kept.append(x)
     assert np.array_equal(chain.samples, np.array(kept))
@@ -259,6 +255,19 @@ def test_run_chain_good_set_projection_membership():
                             axis=1)
     assert d_ball.mean() <= gs.r0
     assert np.abs(chain.samples[:, split.S1]).mean() <= gs.r1
+
+
+def test_a_chain_on_the_box_face_is_in_the_good_set():
+    # a drift far past the box puts every draw on its upper face c + r1,
+    # 0.30000000000000004 here, which lies an ulp more than r1 from c
+    gs = geometry.GoodSet(center=[0.1], split=geometry.CoordinateSplit(S0=[], S1=[0]),
+                          r0=0.0, r1=0.2)
+    config = sampler.SamplerConfig(step_size=0.1, n_steps=50, projection=gs,
+                                   init=np.array([0.1]), seed=0)
+    chain = sampler.run_chain(gaussian_target([50.0]), config)
+    assert np.all(chain.samples == 0.1 + 0.2)
+    assert sampler.check_membership(chain)
+    assert diagnostics.good_set_mass(chain, gs) == 1.0
 
 
 def test_warm_start_distance_scales_like_sqrt_d():
