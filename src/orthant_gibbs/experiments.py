@@ -131,7 +131,7 @@ def gmm_mixture(k: int, d: int, weights=None) -> dict:
             raise ConfigError(f"gmm with k={k} needs explicit weights; "
                               f"default weights exist for k <= {len(GMM_WEIGHTS)}")
         weights = GMM_WEIGHTS[:k]
-    weights = np.asarray(weights, dtype=float)
+    weights = models.mixture_weights(weights)
     return {"weights": weights / weights.sum(),
             "covariances": np.stack([np.eye(d // k)] * k)}
 
@@ -193,7 +193,7 @@ def _trial_outcome(summarise, config: ExperimentConfig,
     it reaches forked workers too."""
     try:
         chain = run_trial(config, template, trial)
-        chain.export_npy(_chain_path(out, trial))
+        chain.export_npy(out / "chains" / f"{trial}.npy")
         return summarise(chain, template.theta_star), None
     except Exception as exc:  # noqa: BLE001 - recorded in the manifest
         return None, repr(exc)
@@ -268,34 +268,57 @@ def _run_all_trials(config: ExperimentConfig, template: models.ModelTemplate,
     return rows, failures, processes
 
 
-def _write_manifest(config: ExperimentConfig, out: Path, failures,
-                    processes: int, wall_s: float, extra=None) -> None:
-    manifest = {
-        "config": config,
-        "config_hash": config.config_hash(),
-        "trial_seeds": {trial: {"data": derive_seed(config.seed, trial, 0),
-                                "chain": derive_seed(config.seed, trial, 1),
-                                "mode": derive_seed(config.seed, trial, 2)}
-                        for trial in range(config.n_trials)},
-        "failures": failures,
-        "versions": {"numpy": np.__version__},
-        "processes": processes,
-        "wall_time_s": wall_s,
-    }
-    if extra:
-        manifest.update(extra)
-    io.write_json(out / "manifest.json", manifest)
-
-
-def _out_dir(config: ExperimentConfig) -> Path:
+def _run_study(config: ExperimentConfig, summarise, write_tables,
+               extra=lambda rows: {}) -> Path:
+    """The steps both studies share: build the template, run every trial
+    with ``summarise`` and pass the completed rows to
+    ``write_tables(out, rows, template)``. The manifest, with
+    ``extra(rows)`` added, is written whatever happens, so a study in which
+    no trial completed still records why before it raises ConfigError."""
+    t0 = time.perf_counter()
+    template = build_template(config)
     out = Path(config.out_dir) / config.run_tag()
     (out / "chains").mkdir(parents=True, exist_ok=True)
+    rows, failures, processes = _run_all_trials(config, template, out, summarise)
+    try:
+        if not rows:
+            raise ConfigError("the study needs at least one completed trial; "
+                              f"see the failures in {out / 'manifest.json'}")
+        write_tables(out, rows, template)
+    finally:
+        io.write_json(out / "manifest.json", {
+            "config": config,
+            "config_hash": config.config_hash(),
+            "trial_seeds": {trial: {"data": derive_seed(config.seed, trial, 0),
+                                    "chain": derive_seed(config.seed, trial, 1),
+                                    "mode": derive_seed(config.seed, trial, 2)}
+                            for trial in range(config.n_trials)},
+            "failures": failures,
+            "versions": {"numpy": np.__version__},
+            "processes": processes,
+            "wall_time_s": time.perf_counter() - t0,
+            **extra(rows)})
     return out
 
 
-def _chain_path(out: Path, trial: int) -> Path:
-    """Where a study writes the kept chain of one trial."""
-    return out / "chains" / f"{trial}.npy"
+def _write_ess_tables(out: Path, rows, template) -> None:
+    with open(out / "ess_per_coordinate.csv", "w") as coord_fh, \
+            open(out / "llr_ess.csv", "w") as llr_fh:
+        coord_fh.write("trial,coordinate,ess\n")
+        llr_fh.write("trial,ess\n")
+        for trial, row in rows.items():
+            for j, ess in enumerate(row[:-1]):
+                coord_fh.write(f"{trial},{j},{ess:.6f}\n")
+            llr_fh.write(f"{trial},{row[-1]:.6f}\n")
+
+
+def _write_coverage_table(out: Path, rows, template) -> None:
+    coverage = np.sum(list(rows.values()), axis=0) / len(rows)
+    boundary = template.theta_star <= BOUNDARY_SPLIT_TAU
+    with open(out / "coverage.csv", "w") as fh:
+        fh.write("coordinate,coverage,is_boundary\n")
+        for j, share in enumerate(coverage):
+            fh.write(f"{j},{share:.6f},{int(boundary[j])}\n")
 
 
 def run_ess_study(config: ExperimentConfig) -> Path:
@@ -304,24 +327,7 @@ def run_ess_study(config: ExperimentConfig) -> Path:
     A trial whose ESS fails is recorded in the manifest's failures like a
     failed trial; its chain is still written.
     """
-    t0 = time.perf_counter()
-    template = build_template(config)
-    out = _out_dir(config)
-    rows, failures, processes = _run_all_trials(config, template, out, _ess_summary)
-
-    try:
-        with open(out / "ess_per_coordinate.csv", "w") as coord_fh, \
-                open(out / "llr_ess.csv", "w") as llr_fh:
-            coord_fh.write("trial,coordinate,ess\n")
-            llr_fh.write("trial,ess\n")
-            for trial, row in rows.items():
-                for j, ess in enumerate(row[:-1]):
-                    coord_fh.write(f"{trial},{j},{ess:.6f}\n")
-                llr_fh.write(f"{trial},{row[-1]:.6f}\n")
-    finally:
-        _write_manifest(config, out, failures, processes,
-                        time.perf_counter() - t0)
-    return out
+    return _run_study(config, _ess_summary, _write_ess_tables)
 
 
 def run_coverage_study(config: ExperimentConfig, level: float = 0.95) -> Path:
@@ -329,23 +335,6 @@ def run_coverage_study(config: ExperimentConfig, level: float = 0.95) -> Path:
     completed trials whose ``level`` interval holds the truth."""
     if not 0 < level < 1:
         raise ConfigError(f"level must lie in (0, 1), got {level}")
-    t0 = time.perf_counter()
-    template = build_template(config)
-    out = _out_dir(config)
-    rows, failures, processes = _run_all_trials(
-        config, template, out, partial(_coverage_summary, level=level))
-
-    boundary = template.theta_star <= BOUNDARY_SPLIT_TAU
-    try:
-        if not rows:  # the manifest still records why
-            raise ConfigError("coverage needs at least one completed trial")
-        coverage = np.sum(list(rows.values()), axis=0) / len(rows)
-        with open(out / "coverage.csv", "w") as fh:
-            fh.write("coordinate,coverage,is_boundary\n")
-            for j in range(config.d):
-                fh.write(f"{j},{coverage[j]:.6f},{int(boundary[j])}\n")
-    finally:
-        _write_manifest(config, out, failures, processes,
-                        time.perf_counter() - t0,
-                        extra={"level": level, "n_completed": len(rows)})
-    return out
+    return _run_study(config, partial(_coverage_summary, level=level),
+                      _write_coverage_table,
+                      extra=lambda rows: {"level": level, "n_completed": len(rows)})

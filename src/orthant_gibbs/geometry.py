@@ -175,10 +175,9 @@ def contains_many(gs: GoodSet, thetas) -> np.ndarray:
     return ok
 
 
-def project_orthant(theta, out=None) -> np.ndarray:
-    """Coordinate-wise max(theta, 0), into ``out`` when given (which may be
-    ``theta``)."""
-    return np.maximum(np.asarray(theta, dtype=float), 0.0, out=out)
+def project_orthant(theta) -> np.ndarray:
+    """Coordinate-wise max(theta, 0), as a new array."""
+    return np.maximum(np.asarray(theta, dtype=float), 0.0)
 
 
 def orthant_box(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -191,21 +190,18 @@ def orthant_box(bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def project_good_set(gs: GoodSet, theta, out=None) -> np.ndarray:
-    """Exact Euclidean projection onto the good set, into ``out`` when given
-    (which may be ``theta``).
+def project_good_set(gs: GoodSet, theta) -> np.ndarray:
+    """Exact Euclidean projection onto the good set, as a new array.
 
     The set is a product over the (S0, S1) blocks, so the joint projection is
     the product of blockwise projections: radial scaling onto the ball for
     S0, clamping to [max(c - r1, 0), c + r1] for each S1 coordinate. The
-    blocks cover every coordinate, and each block is read before it is
-    written.
+    blocks cover every coordinate.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != gs.center.shape:
         raise ShapeError("theta dimension does not match the good set")
-    if out is None:
-        out = np.empty_like(theta)
+    out = np.empty_like(theta)
     if gs.split.d0 > 0:
         c0 = gs._ball_center
         v = theta[gs.split.S0] - c0

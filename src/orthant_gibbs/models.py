@@ -75,6 +75,39 @@ def _require_finite(**arrays) -> None:
             raise ConfigError(f"{name} must be finite (found NaN or inf)")
 
 
+def mixture_weights(weights) -> np.ndarray:
+    """gmm weights as a float array, checked to be non-empty, 1-D, finite and
+    strictly positive: the rules that hold before they are scaled to sum 1."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w) & (w > 0)):
+        raise ConfigError("gmm weights must be a non-empty 1-D array, finite and "
+                          f"strictly positive; got {w.tolist()}")
+    return w
+
+
+def check_mixture(weights, covariances, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A gmm mixture of components of dimension m, checked and returned as
+    float arrays: ``mixture_weights`` summing to 1, and one finite,
+    symmetric, positive definite (m, m) covariance per weight."""
+    w = mixture_weights(weights)
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ConfigError(f"gmm weights must sum to 1; got {w.tolist()}")
+    covs = np.asarray(covariances, dtype=float)
+    k = w.size
+    if covs.shape != (k, m, m):
+        raise ShapeError(f"covariances have shape {covs.shape}, expected ({k},{m},{m})")
+    _require_finite(covariances=covs)
+    symmetric = np.isclose(covs, covs.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2))
+    for j in range(k):
+        if not symmetric[j]:
+            raise ConfigError(f"covariance {j} is not symmetric")
+        try:
+            np.linalg.cholesky(covs[j])
+        except np.linalg.LinAlgError:
+            raise ConfigError(f"covariance {j} is not positive definite") from None
+    return w, covs
+
+
 def _as_vector(theta, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (d,):
@@ -221,24 +254,11 @@ class GmmData:
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
-        covs = np.asarray(self.covariances, dtype=float)
-        if covs.ndim == 2:
-            covs = covs[None, :, :]
+        w, covs = check_mixture(self.weights, self.covariances, X.shape[1])
+        _require_finite(X=X)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "covariances", covs)
-        k, m = w.shape[0], X.shape[1]
-        if covs.shape != (k, m, m):
-            raise ShapeError(f"covariances have shape {covs.shape}, expected ({k},{m},{m})")
-        _require_finite(X=X, weights=w, covariances=covs)
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ConfigError("weights must be strictly positive and sum to 1")
-        for j in range(k):
-            if not np.allclose(covs[j], covs[j].T, atol=1e-12):
-                raise ConfigError(f"covariance {j} is not symmetric")
-            if np.linalg.eigvalsh(covs[j])[0] <= 0:
-                raise ConfigError(f"covariance {j} is not positive definite")
 
     @property
     def n(self) -> int:
@@ -626,16 +646,12 @@ class ModelTemplate:
                               "kind takes them")
         if self.kind != "gmm":
             return
-        weights = np.asarray(self.weights, dtype=float)
-        covariances = np.asarray(self.covariances, dtype=float)
-        d, k = theta_star.size, weights.size
-        if weights.ndim != 1 or k == 0 or d % k:
+        d, k = theta_star.size, np.size(self.weights)
+        if np.ndim(self.weights) != 1 or k == 0 or d % k:
             raise ConfigError(f"gmm requires d divisible by k, the length of its 1-D "
-                              f"weights; got d={d}, weights of shape {weights.shape}")
-        m = d // k
-        if covariances.shape != (k, m, m):
-            raise ShapeError(f"covariances have shape {covariances.shape}, "
-                             f"expected ({k},{m},{m})")
+                              f"weights; got d={d}, weights of shape "
+                              f"{np.shape(self.weights)}")
+        weights, covariances = check_mixture(self.weights, self.covariances, d // k)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "covariances", covariances)
 

@@ -1,9 +1,9 @@
 """Projected Langevin Monte Carlo.
 
 One step is the unadjusted Euler-Maruyama update followed by a Euclidean
-projection:
+projection P:
 
-    x <- P(x + h * grad_log_density(x) + N(0, 2h I)).
+    x <- P(x + h * grad_log_density(x) + xi),    xi ~ N(0, 2h I).
 
 The target is anything with ``value``, ``grad``, ``value_and_grad`` and
 ``d``, such as a ``models.ModelInstance``, whose log density is the
@@ -53,11 +53,13 @@ class SamplerConfig:
         if self.init is not None:
             object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
-    def projector(self) -> Callable[..., np.ndarray]:
-        """The projection, called as ``project(x)`` or ``project(x, out=buf)``."""
+    def projector(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The projection as a function of the point alone. The projections
+        are looked up in this module, so a wrapper installed here before a
+        chain starts sees every call."""
         if isinstance(self.projection, GoodSet):
             gs = self.projection
-            return lambda x, out=None: project_good_set(gs, x, out)
+            return lambda x: project_good_set(gs, x)
         return project_orthant
 
 
@@ -99,25 +101,18 @@ class Chain:
         self._write_meta(path)
 
 
-def plmc_step(x: np.ndarray, drift, h: float, noise: np.ndarray,
-              projection: Callable[..., np.ndarray] = project_orthant, *,
-              out: np.ndarray | None = None) -> np.ndarray:
+def plmc_step(x: np.ndarray, drift, h: float, xi: np.ndarray,
+              projection: Callable[[np.ndarray], np.ndarray] = project_orthant
+              ) -> np.ndarray:
     """One projected Langevin step from ``x`` with the drift already taken
-    there: projection(x + h * drift + sqrt(2h) * noise), ``noise`` a (d,)
-    N(0, I) draw that is scaled in place, so no one may read it again.
-
-    The step is formed and projected in one array, ``out`` when given (not
-    ``x``), with ``projection(step, out=step)``."""
+    there: projection(x + h * drift + xi), with ``xi`` the step's
+    N(0, 2h I) increment. No argument is written to."""
     drift = np.asarray(drift, dtype=float)
     # a NaN or inf entry makes drift . drift non-finite, and so can finite
     # entries above 1e154; the exact test runs only then
     if not math.isfinite(drift @ drift) and not np.isfinite(drift).all():
         raise NonFiniteError("non-finite drift")
-    noise *= math.sqrt(2.0 * h)
-    step = np.multiply(drift, h, out=out)
-    step += x
-    step += noise
-    return projection(step, out=step)
+    return projection(x + h * drift + xi)
 
 
 # Normal draws per block of a chain's noise: 64 KB, 40 steps at d = 200
@@ -139,10 +134,10 @@ def run_chain(target, config: SamplerConfig) -> Chain:
 
     A kept state's log density comes from the fused value-and-gradient call
     at the next step's drift; only the last kept state, when it is the final
-    state, needs a lone value call. Each step takes one row of noise, drawn
-    ``_NOISE_BLOCK`` numbers at a time: one (rows, d) draw is bitwise the
-    ``rows`` draws of (d,) it stands for. The steps alternate between two
-    state arrays, so a target must not keep the array it is called with.
+    state, needs a lone value call. The noise is drawn ``_NOISE_BLOCK``
+    numbers at a time and scaled by sqrt(2h) once per block: one (rows, d)
+    draw is bitwise the ``rows`` draws of (d,) it stands for, and each step
+    takes one row as its increment.
     """
     project = config.projector()
     rng = make_rng(config.seed, 0x10)
@@ -154,21 +149,20 @@ def run_chain(target, config: SamplerConfig) -> Chain:
     samples = np.empty((kept, target.d))
     log_post = np.empty(kept)
     per_block = max(1, _NOISE_BLOCK // target.d)  # steps per noise block
-    spare = np.empty(target.d)  # the next state's array
     h = config.step_size
     row = 0
     x_kept = False  # x is samples[row - 1], and its log density is still owed
     t0 = time.perf_counter()
     for k in range(config.n_steps):
         if k % per_block == 0:
-            noise = rng.standard_normal((min(per_block, config.n_steps - k), target.d))
+            xi = rng.standard_normal((min(per_block, config.n_steps - k), target.d))
+            xi *= math.sqrt(2.0 * h)
         if x_kept:
             log_post[row - 1], drift = target.value_and_grad(x)
         else:
             drift = target.grad(x)
         try:
-            x, spare = plmc_step(x, drift, h, noise[k % per_block], project,
-                                 out=spare), x
+            x = plmc_step(x, drift, h, xi[k % per_block], project)
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at step {k}") from None
         x_kept = k >= config.burn_in and (k - config.burn_in) % config.thin == 0

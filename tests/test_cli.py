@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import orthant_gibbs
-from orthant_gibbs import assumptions, cli, experiments, geometry, io, models, sampler
+from orthant_gibbs import (assumptions, cli, diagnostics, experiments, geometry, io,
+                          models, sampler)
 
 
 def run(argv):
@@ -129,6 +130,32 @@ def test_coverage_study_outputs(tmp_path):
     chains = sorted(p.name for p in (out / "asymptotic_logistic_seed3" / "chains").iterdir())
     assert chains == ["0.npy", "0.npy.meta.json", "1.npy", "1.npy.meta.json"]
     assert np.load(out / "asymptotic_logistic_seed3" / "chains" / "1.npy").shape == (300, 11)
+
+
+def test_a_study_with_no_completed_trial_exits_2_after_its_manifest(
+        tmp_path, capsys, monkeypatch):
+    # 5 kept draws, and bulk ESS needs 8: both ess trials fail
+    argv = ["--model", "logistic", "--n-trials", 2, "--n-steps", 10, "--burn-in", 5]
+    assert run(["ess", *argv, "--out", tmp_path / "ess"]) == 2
+    assert "at least one completed trial" in capsys.readouterr().err
+    run_dir = tmp_path / "ess" / "pre_asymptotic_logistic_seed0"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["failures"] == [[trial, "ConfigError('each chain must have at "
+                                            "least 8 draws')"] for trial in (0, 1)]
+    assert not (run_dir / "ess_per_coordinate.csv").exists()
+    assert not (run_dir / "llr_ess.csv").exists()
+
+    def no_interval(*args):
+        raise RuntimeError("no interval")
+
+    monkeypatch.setattr(diagnostics, "interval_hits", no_interval)
+    assert run(["coverage", *argv, "--out", tmp_path / "cov"]) == 2
+    assert "at least one completed trial" in capsys.readouterr().err
+    run_dir = tmp_path / "cov" / "asymptotic_logistic_seed0"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert [trial for trial, _ in manifest["failures"]] == [0, 1]
+    assert manifest["n_completed"] == 0
+    assert not (run_dir / "coverage.csv").exists()
 
 
 def test_study_rerun_is_byte_identical(tmp_path):

@@ -240,6 +240,18 @@ _BAD_MODELS = {
     # (test_cli.py::test_simulate_names_a_k_and_weights_disagreement)
     "covariance_shape": ("gmm", {"covariances": [np.eye(3).tolist()] * 2}, ShapeError,
                          "covariances have shape", None),
+    # simulate checks its --weights before it scales them to sum to 1
+    "negative_weight": ("gmm", {"weights": [2.0, -1.0]}, ConfigError,
+                        "weights must be a non-empty 1-D array, finite and strictly positive",
+                        ["simulate", "--model", "gmm", "--theta-star", "[1, 1, 4, 0]",
+                         "--weights", "[2, -1]"]),
+    "weights_summing_to_0": ("gmm", {"weights": [1.0, -1.0]}, ConfigError,
+                             "weights must be a non-empty 1-D array, finite and strictly positive",
+                             ["simulate", "--model", "gmm", "--theta-star", "[1, 1, 4, 0]",
+                              "--weights", "[1, -1]"]),
+    "covariance_not_positive_definite": (
+        "gmm", {"covariances": [[[1.0, 2.0], [2.0, 1.0]], np.eye(2).tolist()]},
+        ConfigError, "covariance 0 is not positive definite", None),
 }
 
 

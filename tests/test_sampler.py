@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -80,14 +81,63 @@ def test_run_chain_is_a_loop_of_plmc_step():
     chain = sampler.run_chain(target, config)
     rng = make_rng(config.seed, 0x10)
     x = np.array([0.5, 0.5, 0.5])
+    h = config.step_size
     kept = []
     for k in range(config.n_steps):
-        x = sampler.plmc_step(x, target.grad(x), config.step_size,
-                              rng.standard_normal(3))
+        x = sampler.plmc_step(x, target.grad(x), h,
+                              math.sqrt(2 * h) * rng.standard_normal(3))
         if k >= config.burn_in and (k - config.burn_in) % config.thin == 0:
             kept.append(x)
     assert np.array_equal(chain.samples, np.array(kept))
     assert np.array_equal(chain.log_posterior, [target.value(x) for x in kept])
+
+
+def test_a_step_and_the_projections_write_to_no_argument():
+    gs = geometry.GoodSet(center=[1.0, 0.0],
+                          split=geometry.CoordinateSplit(S0=[0], S1=[1]),
+                          r0=0.5, r1=0.1)
+    x, drift, xi = np.array([0.2, 0.3]), np.array([-4.0, 2.0]), np.array([-0.5, -0.1])
+    args = (x, drift, xi, gs.center)
+    before = [a.copy() for a in args]
+    step = x + 0.1 * drift + xi  # [-0.7, 0.4]: both projections bind
+    project = sampler.SamplerConfig(step_size=0.1, n_steps=1, projection=gs).projector()
+    results = [
+        (sampler.plmc_step(x, drift, 0.1, xi), [0.0, 0.4]),
+        (sampler.plmc_step(x, drift, 0.1, xi, project), [0.5, 0.1]),
+        (geometry.project_orthant(step), [0.0, 0.4]),
+        (geometry.project_good_set(gs, step), [0.5, 0.1]),
+    ]
+    for result, expected in results:
+        np.testing.assert_allclose(result, expected)
+        assert not any(np.shares_memory(result, a) for a in (*args, step))
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b)
+    assert np.array_equal(step, [-0.7, 0.4])
+
+
+def test_a_target_may_keep_every_array_it_is_called_with():
+    base = gaussian_target([1.0, 0.0, 2.0])
+    seen = {"value": [], "grad": []}  # each array passed, and a copy taken then
+
+    def keeping(name, f):
+        def call(x):
+            seen[name].append((x, x.copy()))
+            return f(x)
+        return call
+
+    target = Target(value=keeping("value", base.value),
+                    grad=keeping("grad", base.grad), d=3)
+    config = sampler.SamplerConfig(step_size=0.05, n_steps=30,
+                                   init=np.array([0.5, 0.5, 0.5]), seed=4)
+    chain = sampler.run_chain(target, config)
+    for kept, copy in seen["value"] + seen["grad"]:
+        assert np.array_equal(kept, copy)
+    # every state is kept: the drift is taken at the start and at each state
+    # but the last, and the log density at each state
+    grads = np.array([x for x, _ in seen["grad"]])
+    assert np.array_equal(grads[0], [0.5, 0.5, 0.5])
+    assert np.array_equal(grads[1:], chain.samples[:-1])
+    assert np.array_equal(np.array([x for x, _ in seen["value"]]), chain.samples)
 
 
 def _good_set(model):
