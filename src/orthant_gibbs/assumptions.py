@@ -284,7 +284,7 @@ def check_well_separation(model: models.ModelInstance, mode_result, region: Regi
     returns the minimum of loglik(mode) - loglik(theta) over them. A
     non-positive value flags a failed well-separation assumption.
     """
-    lo, hi = orthant_box(bounds)
+    lo, hi = orthant_box(bounds, model.d)
     rng = make_rng(seed, 0x5E)
     theta_hat = np.asarray(mode_result.theta_hat, dtype=float)
     ll_hat = models.log_lik(model, theta_hat)

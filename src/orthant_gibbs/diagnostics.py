@@ -231,15 +231,19 @@ def ess_report(samples_by_chain: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+def _interval_ends(samples: np.ndarray, level: float) -> np.ndarray:
+    """The ends of ``credible_interval`` along axis 0 of ``samples``."""
+    if not 0 < level < 1:
+        raise ConfigError("level must lie in (0, 1)")
+    if samples.shape[0] < 2:
+        raise ConfigError("need at least 2 samples")
+    return np.quantile(samples, [(1 - level) / 2, (1 + level) / 2], axis=0)
+
+
 def credible_interval(samples, level: float) -> tuple[float, float]:
     """Equal-tailed interval with linearly interpolated empirical quantiles
     (index p*(n-1), zero-based)."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 2:
-        raise ConfigError("need at least 2 samples")
-    if not 0 < level < 1:
-        raise ConfigError("level must lie in (0, 1)")
-    lo, hi = np.quantile(samples, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = _interval_ends(np.asarray(samples, dtype=float).ravel(), level)
     return float(lo), float(hi)
 
 
@@ -248,13 +252,9 @@ def interval_hits(samples, theta_star, level: float) -> np.ndarray:
     coordinates in one quantile call: one trial's row of a coverage study."""
     theta_star = np.asarray(theta_star, dtype=float)
     samples = np.asarray(samples, dtype=float)
-    if not 0 < level < 1:
-        raise ConfigError("level must lie in (0, 1)")
     if samples.ndim != 2 or samples.shape[1] != theta_star.size:
         raise ShapeError("trial sample matrix does not match theta_star")
-    if samples.shape[0] < 2:
-        raise ConfigError("need at least 2 samples")
-    lo, hi = np.quantile(samples, [(1 - level) / 2, (1 + level) / 2], axis=0)
+    lo, hi = _interval_ends(samples, level)
     return (lo <= theta_star) & (theta_star <= hi)
 
 

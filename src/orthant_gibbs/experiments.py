@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .mode import ModeResult, default_box, find_mode_global, find_mode_local
 from .rng import derive_seed
 
-PRESETS = ("pre_asymptotic", "asymptotic", "custom")
+PRESETS = ("pre_asymptotic", "asymptotic")
 GMM_WEIGHTS = (0.7, 0.3)
 BOUNDARY_SPLIT_TAU = 1e-7
 
@@ -90,7 +90,7 @@ def preset_config(preset: str, model: str, *, out_dir: str = "out",
                     sampler_step=0.001, warm_start="mode",
                     k=2 if model == "gmm" else 1)
     else:
-        raise ConfigError("preset_config handles pre_asymptotic and asymptotic only")
+        raise ConfigError(f"unknown preset {preset!r}")
     base.update(overrides)
     if "sampler_step" not in base:  # ExperimentConfig rejects an n below 1
         base["sampler_step"] = (0.5 if model == "logistic" else 0.1) / max(base["n"], 1)

@@ -180,12 +180,15 @@ def project_orthant(theta) -> np.ndarray:
     return np.maximum(np.asarray(theta, dtype=float), 0.0)
 
 
-def orthant_box(bounds) -> tuple[np.ndarray, np.ndarray]:
+def orthant_box(bounds, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A search box ``(lo, hi)`` clipped to the orthant. Points are drawn from it
     uniformly, so a NaN bound, an infinite ``hi`` or an empty box is refused."""
     lo = project_orthant(bounds[0])
     hi = np.asarray(bounds[1], dtype=float)
-    if lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(hi)):
+    if lo.shape != (d,) or hi.shape != (d,):
+        raise ShapeError(f"the bounding box must be two arrays of d={d} coordinates; "
+                         f"got shapes {lo.shape} and {hi.shape}")
+    if not np.all((lo < hi) & np.isfinite(hi)):
         raise ConfigError("bounding box must be finite and non-empty")
     return lo, hi
 

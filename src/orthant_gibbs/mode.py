@@ -130,7 +130,7 @@ def find_mode_global(model: models.ModelInstance, bounds, *, n_restarts: int = 1
     tie keeps the earlier restart, so the result is deterministic for a
     fixed seed.
     """
-    lo, hi = orthant_box(bounds)
+    lo, hi = orthant_box(bounds, model.d)
     if n_restarts < 1:
         raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
     fun, grad = _posterior_objective(model)

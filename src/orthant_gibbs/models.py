@@ -9,9 +9,10 @@ Three models are supported, all parameterized over the non-negative orthant:
   covariances; the parameter is the flattened stack of component means.
 
 Each kind has a data class, which carries the kind's name. A
-``ModelInstance`` pairs a dataset with a ``Prior(rate)`` (exponential, or
-flat at rate 0) and is the sampling target: its ``value``, ``grad`` and
-``value_and_grad`` are the unnormalized log Gibbs density
+``ModelTemplate`` is a checked model description, and ``simulate`` draws a
+dataset from it. A ``ModelInstance`` pairs a dataset with a ``Prior(rate)``
+(exponential, or flat at rate 0) and is the sampling target: its ``value``,
+``grad`` and ``value_and_grad`` are the unnormalized log Gibbs density
 log prior(theta) + n * l_n(theta) and its gradient.
 
 All log-likelihoods are normalized per observation (averaged over the n
@@ -304,8 +305,9 @@ class GmmData:
 
     @cached_property
     def centred_quads(self) -> np.ndarray:
-        """c_ij = u_i' P_j u_i, shape (k, n)."""
-        return np.einsum("nm,knm->kn", self.centred, self.centred @ self.precisions)
+        """c_ij = u_i' P_j u_i, shape (k, n), one component at a time."""
+        U = self.centred
+        return np.stack([np.einsum("nm,nm->n", U, U @ P) for P in self.precisions])
 
 
 @dataclass(frozen=True)
@@ -574,53 +576,46 @@ def log_posterior_and_grad(model: ModelInstance, theta) -> tuple[float, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def simulate(kind: str, theta_star, n: int, seed: int, *, prior: Prior = Prior(),
-             T: float = 1.0, weights=None, covariances=None) -> ModelInstance:
-    """Draw a synthetic dataset from ``kind`` at truth ``theta_star``.
+def simulate(template: ModelTemplate, seed: int) -> ModelInstance:
+    """Draw a synthetic dataset from the checked ``template``, at its truth.
 
-    Deterministic for a fixed seed; the arguments are checked as the fields
-    of a :class:`ModelTemplate`. For ``poisson`` the sensitivity matrix A is
-    drawn uniform on [0, 1], with exposure T. For ``gmm`` ``theta_star`` is
-    the flattened stack of the k component means.
+    Deterministic for a fixed seed. For ``poisson`` the sensitivity matrix A
+    is drawn uniform on [0, 1] and the counts at exposure 1. For ``gmm`` the
+    truth is the flattened stack of the k component means.
     """
-    template = ModelTemplate(kind, theta_star, n, prior, weights, covariances)
     theta_star, n, d = template.theta_star, template.n, template.theta_star.size
     rng = make_rng(seed)
 
-    if kind == "logistic":
+    if template.kind == "logistic":
         X = rng.standard_normal((n, d))
         Y = (rng.random(n) < _expit(X @ theta_star)).astype(float)
         data = LogisticData(X=X, Y=Y)
-    elif kind == "poisson":
+    elif template.kind == "poisson":
         A = rng.uniform(0.0, 1.0, (n, d))
         rates = A @ theta_star
         if np.any(rates <= 0):
             raise ConfigError("A theta_star has a non-positive rate; adjust theta_star")
-        counts = rng.poisson(T * rates).astype(float)
-        if not np.any(counts > 0):
-            raise ConfigError("all simulated counts are zero; increase T or the rates")
-        data = PoissonData(A=A, Y=counts / T, T=T)
+        data = PoissonData(A=A, Y=rng.poisson(rates).astype(float))
     else:
         w, covs = template.weights, template.covariances
         k, m = w.size, d // w.size
         mu = theta_star.reshape(k, m)
-        chols = np.stack([np.linalg.cholesky(covs[j]) for j in range(k)])
         labels = rng.choice(k, size=n, p=w)
         Z = rng.standard_normal((n, m))
         X = mu[labels]
         for j in range(k):
             rows = labels == j
-            X[rows] += Z[rows] @ chols[j].T
+            X[rows] += Z[rows] @ np.linalg.cholesky(covs[j]).T
         data = GmmData(X=X, weights=w, covariances=covs)
 
-    return ModelInstance(data=data, prior=prior, theta_star=theta_star)
+    return ModelInstance(data=data, prior=template.prior, theta_star=theta_star)
 
 
 @dataclass(frozen=True)
 class ModelTemplate:
     """Everything needed to simulate fresh datasets of one model repeatedly,
-    and the one place where a model's kind, truth, n and mixture are checked.
-    The arrays are stored as float arrays."""
+    and the one place where a model's kind, truth, n and mixture are checked;
+    ``simulate`` takes it as checked. The arrays are stored as float arrays."""
 
     kind: str
     theta_star: np.ndarray
@@ -656,5 +651,4 @@ class ModelTemplate:
         object.__setattr__(self, "covariances", covariances)
 
     def simulate(self, seed: int) -> ModelInstance:
-        return simulate(self.kind, self.theta_star, self.n, seed, prior=self.prior,
-                        weights=self.weights, covariances=self.covariances)
+        return simulate(self, seed)

@@ -11,20 +11,19 @@ from orthant_gibbs import experiments, models
 
 @pytest.fixture
 def logistic_model():
-    return models.simulate("logistic", np.array([1.0, 0.5, 0.0]), 200, seed=7)
+    return models.ModelTemplate("logistic", np.array([1.0, 0.5, 0.0]), 200).simulate(7)
 
 
 @pytest.fixture
 def poisson_model():
-    return models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 200, seed=7)
+    return models.ModelTemplate("poisson", np.array([1.0, 0.5, 0.0]), 200).simulate(7)
 
 
 @pytest.fixture
 def gmm_model():
     theta_star = np.array([1.0, 1.0, 4.0, 0.0])
-    return models.simulate("gmm", theta_star, 300, seed=7,
-                           weights=np.array([0.6, 0.4]),
-                           covariances=np.stack([np.eye(2), np.eye(2)]))
+    return models.ModelTemplate("gmm", theta_star, 300, weights=np.array([0.6, 0.4]),
+                                covariances=np.stack([np.eye(2), np.eye(2)])).simulate(7)
 
 
 @pytest.fixture
@@ -34,9 +33,8 @@ def gmm_corr_model():
     cov_a = np.array([[1.0, 0.6, 0.2], [0.6, 2.0, -0.5], [0.2, -0.5, 1.5]])
     cov_b = np.array([[0.5, -0.2, 0.1], [-0.2, 0.8, 0.3], [0.1, 0.3, 1.2]])
     theta_star = np.array([1.0, 0.5, 2.0, 3.0, 0.0, 1.0])
-    return models.simulate("gmm", theta_star, 300, seed=7,
-                           weights=np.array([0.6, 0.4]),
-                           covariances=np.stack([cov_a, cov_b]))
+    return models.ModelTemplate("gmm", theta_star, 300, weights=np.array([0.6, 0.4]),
+                                covariances=np.stack([cov_a, cov_b])).simulate(7)
 
 
 @pytest.fixture
@@ -44,8 +42,9 @@ def gmm_far_model(gmm_corr_model):
     # the same mixture with both means 1e3 from the origin: an expanded
     # quadratic form that is not centred on the data mean loses digits here
     data = gmm_corr_model.data
-    return models.simulate("gmm", 1e3 + gmm_corr_model.theta_star, 300, seed=7,
-                           weights=data.weights, covariances=data.covariances)
+    return models.ModelTemplate("gmm", 1e3 + gmm_corr_model.theta_star, 300,
+                                weights=data.weights,
+                                covariances=data.covariances).simulate(7)
 
 
 @pytest.fixture

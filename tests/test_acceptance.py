@@ -27,15 +27,15 @@ def report(criterion, passed, detail):
 
 
 def acceptance_models():
-    make = models.simulate
+    make = models.ModelTemplate
     return {
-        "logistic": make("logistic", np.array([1.0, 0.5, 0.0]), 400, seed=2),
+        "logistic": make("logistic", np.array([1.0, 0.5, 0.0]), 400).simulate(2),
         # seed chosen so the Poisson mode also lands on the boundary,
         # making the osc(B) check in criterion 2 non-vacuous
-        "poisson": make("poisson", np.array([1.0, 0.5, 0.0]), 400, seed=3),
-        "gmm": make("gmm", np.array([1.0, 1.0, 4.0, 0.0]), 400, seed=2,
+        "poisson": make("poisson", np.array([1.0, 0.5, 0.0]), 400).simulate(3),
+        "gmm": make("gmm", np.array([1.0, 1.0, 4.0, 0.0]), 400,
                     weights=np.array([0.6, 0.4]),
-                    covariances=np.stack([np.eye(2), np.eye(2)])),
+                    covariances=np.stack([np.eye(2), np.eye(2)])).simulate(2),
     }
 
 
@@ -207,7 +207,7 @@ def test_criterion_5_nonregular_mle_recovery():
     t0 = time.perf_counter()
     at_zero = 0
     for seed in range(20):
-        model = models.simulate("logistic", TRUTH_5D, 5000, seed=seed)
+        model = models.ModelTemplate("logistic", TRUTH_5D, 5000).simulate(seed)
         result = find_mode_local(model, np.full(5, 0.5), tol=1e-9)
         if result.theta_hat[4] <= 1e-4:
             at_zero += 1
@@ -227,7 +227,7 @@ def test_criterion_6_good_set_concentration():
     ~chi(4)/sqrt(n) spread. Measured mass is on the order of 0.01-0.05.
     """
     t0 = time.perf_counter()
-    model = models.simulate("logistic", TRUTH_5D, 5000, seed=0)
+    model = models.ModelTemplate("logistic", TRUTH_5D, 5000).simulate(0)
     result = find_mode_local(model, np.full(5, 0.5), tol=1e-9)
     split, center = geometry.split_coordinates(result.theta_hat, 1e-5)
     delta0, delta1 = geometry.default_deltas(max(split.d1, 1))

@@ -70,7 +70,7 @@ def test_estimate_constants_reports_vacuous_bound_when_violated():
     # wide enough for the partial derivative to change sign, so the measured
     # C_S1 goes negative; the checker should report an infinite Poincare
     # bound instead of raising.
-    model = models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 400, seed=3)
+    model = models.ModelTemplate("poisson", np.array([1.0, 0.5, 0.0]), 400).simulate(3)
     result = find_mode_local(model, np.array([1.1, 0.6, 0.1]), tol=1e-9)
     region = region_for(model, result.theta_hat, tau=1e-5)
     report = assumptions.estimate_constants(model, region)
@@ -100,7 +100,8 @@ def _constants_case(case, request):
     """(model, region) of one estimate_constants case."""
     if case == "poisson_vacuous":
         # the fixture of test_estimate_constants_reports_vacuous_bound_when_violated
-        model = models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 400, seed=3)
+        model = models.ModelTemplate("poisson", np.array([1.0, 0.5, 0.0]),
+                                     400).simulate(3)
         result = find_mode_local(model, np.array([1.1, 0.6, 0.1]), tol=1e-9)
         return model, region_for(model, result.theta_hat, tau=1e-5, grid=200)
     if case == "gmm":
@@ -185,7 +186,7 @@ def test_certificate_matches_scan_on_adversarial_hessians(sequence, monkeypatch)
         a = rng.standard_normal((d, d))
         base = -(a @ a.T) / d
         hessians = [base * (1.0 - k * 2.0**-52) for k in range(grid)]
-    model = models.simulate("logistic", region.center, 50, seed=0)
+    model = models.ModelTemplate("logistic", region.center, 50).simulate(0)
     _synthetic_hessians(monkeypatch, region, hessians)
     report = assumptions.estimate_constants(model, region)
     assert _bits(report) == _bits(estimate_constants_reference(model, region))
@@ -193,7 +194,7 @@ def test_certificate_matches_scan_on_adversarial_hessians(sequence, monkeypatch)
 
 def test_certificate_skips_most_eigensolves_at_d200(monkeypatch):
     truth = np.r_[np.ones(4), np.zeros(196)]
-    model = models.simulate("logistic", truth, 800, seed=0)
+    model = models.ModelTemplate("logistic", truth, 800).simulate(0)
     result = find_mode_local(model, truth + 0.1, tol=1e-8)
     region = region_for(model, result.theta_hat, tau=1e-7, grid=200)
     assert region.split.d0 > 50

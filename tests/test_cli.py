@@ -384,6 +384,18 @@ def test_mode_bounds_that_are_not_a_pair_exit_2(tmp_path, sim_dir, capsys, bound
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds", ["[[0, 0], [1, 1]]", "[[0, 0, 0, 0], [1, 1, 1, 1]]"])
+def test_mode_bounds_of_the_wrong_length_exit_2_naming_the_box(tmp_path, sim_dir,
+                                                               capsys, bounds):
+    # refused before any ascent, naming the box and the model's d
+    out = tmp_path / "mode.json"
+    assert run(["mode", "--model-config", sim_dir / "model.json",
+                "--bounds", bounds, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "bounding box" in err and "d=3" in err
+    assert not out.exists()
+
+
 def test_files_in_the_earlier_layout_exit_2_naming_the_missing_key(tmp_path, sim_dir,
                                                                   capsys):
     # the prior as {name, lipschitz}, and the good set with a flat S0/S1 and
@@ -450,6 +462,7 @@ def test_mode_exits_2_on_a_non_finite_prior_rate(tmp_path, sim_dir, capsys):
     ["coverage", "--level", "nan"],
     ["ess", "--seed", -1],
     ["ess", {"warm_start": "Mode", "preset": "asymptotic"}],
+    ["ess", {"preset": "custom"}],  # a preset value of earlier versions
     ["ess", {"d": 0}],
     ["ess", {"n": 0}],  # the preset step 0.5/n is never divided by 0
     # keys of the earlier study config: one step field, and no study thin

@@ -13,7 +13,7 @@ from orthant_gibbs.errors import ConfigError
 
 
 def _config(tmp_path, **overrides):
-    fields = dict(preset="custom", model="logistic", d=3, n=50, n_trials=6,
+    fields = dict(preset="asymptotic", model="logistic", d=3, n=50, n_trials=6,
                   n_steps=40, burn_in=0, sampler_step=0.1, out_dir=str(tmp_path))
     fields.update(overrides)
     return experiments.ExperimentConfig(**fields)

@@ -31,9 +31,10 @@ def test_logistic_dataset_roundtrip(tmp_path, logistic_model):
     _assert_bitwise_round_trip(tmp_path, logistic_model)
 
 
-def test_poisson_dataset_roundtrip(tmp_path):
+def test_poisson_dataset_roundtrip(tmp_path, poisson_model):
     # the exposure is stored too: a file of T = 2.5 does not read back T = 1
-    model = models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 200, seed=7, T=2.5)
+    data = poisson_model.data
+    model = models.ModelInstance(models.PoissonData(A=data.A, Y=data.Y / 2.5, T=2.5))
     _assert_bitwise_round_trip(tmp_path, model)
     assert io.load_dataset(tmp_path / "dataset.npz").T == 2.5
 

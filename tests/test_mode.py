@@ -72,9 +72,9 @@ def test_global_gmm_recovers_means():
     hits = 0
     for seed in range(20):
         truth = np.array([0.5, 4.0])  # k=2, m=1 means
-        model = models.simulate("gmm", truth, 400, seed=seed,
-                                weights=np.array([0.5, 0.5]),
-                                covariances=np.stack([np.eye(1), np.eye(1)]))
+        model = models.ModelTemplate("gmm", truth, 400, weights=np.array([0.5, 0.5]),
+                                     covariances=np.stack([np.eye(1), np.eye(1)])
+                                     ).simulate(seed)
         result = find_mode_global(model, (np.zeros(2), np.full(2, 6.0)),
                                   seed=seed, n_restarts=6, tol=1e-6)
         est = np.sort(result.theta_hat)
@@ -126,8 +126,8 @@ def test_ascent_stops_when_no_step_moves_x():
     # accepted steps round to no change; such a step passes Armijo trivially,
     # so without the stall exit the ascent would run to MAX_ITER
     truth = np.array([1.0, 1.0, 1.0, 4.0, 4.0, 0.0])
-    model = models.simulate("gmm", truth, 800, seed=1,
-                            **experiments.gmm_mixture(2, 6))
+    model = models.ModelTemplate("gmm", truth, 800,
+                                 **experiments.gmm_mixture(2, 6)).simulate(1)
     stalled = find_mode_local(model, make_rng(1, 1).uniform(np.zeros(6),
                                                              np.full(6, 6.0)))
     assert stalled.iterations < 100
@@ -165,7 +165,7 @@ def test_nonregular_coordinate_recovery():
     truth = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
     at_zero = 0
     for seed in range(10):
-        model = models.simulate("logistic", truth, 5000, seed=seed)
+        model = models.ModelTemplate("logistic", truth, 5000).simulate(seed)
         result = find_mode_local(model, np.full(5, 0.5), tol=1e-9)
         if result.theta_hat[4] <= 1e-4:
             at_zero += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -86,8 +87,11 @@ def test_poisson_loglik_closed_form():
 
 @pytest.mark.parametrize("T", [1.0, 2.5])
 def test_poisson_cached_counts_keep_loglik_bitwise(T):
-    model = models.simulate("poisson", np.array([1.0, 0.5, 0.0]), 200, seed=11, T=T)
-    data = model.data
+    # simulated counts, as rates Y at exposure T
+    simulated = models.ModelTemplate("poisson", np.array([1.0, 0.5, 0.0]),
+                                     200).simulate(11)
+    data = models.PoissonData(A=simulated.data.A, Y=simulated.data.Y / T, T=T)
+    model = models.ModelInstance(data, theta_star=simulated.theta_star)
     assert data.counts is data.counts  # rounded once per dataset
     for theta in _interior_points(model, 5, seed=3):
         # the per-call form: re-round T*Y and recompute log(counts!)
@@ -185,31 +189,48 @@ def test_gmm_responsibilities_underflow_safe(gmm_model):
 
 
 def test_simulate_is_deterministic():
-    a = models.simulate("logistic", np.array([1.0, 0.0]), 50, seed=11)
-    b = models.simulate("logistic", np.array([1.0, 0.0]), 50, seed=11)
+    template = models.ModelTemplate("logistic", np.array([1.0, 0.0]), 50)
+    a, b = template.simulate(11), template.simulate(11)
     np.testing.assert_array_equal(a.data.X, b.data.X)
     np.testing.assert_array_equal(a.data.Y, b.data.Y)
-    c = models.simulate("logistic", np.array([1.0, 0.0]), 50, seed=12)
+    c = template.simulate(12)
     assert not np.array_equal(a.data.X, c.data.X)
 
 
 def test_simulate_shapes_and_kinds():
-    log = models.simulate("logistic", np.ones(3), 40, seed=0)
+    log = models.ModelTemplate("logistic", np.ones(3), 40).simulate(0)
     assert log.data.X.shape == (40, 3) and set(log.data.Y) <= {0.0, 1.0}
-    poi = models.simulate("poisson", np.ones(3), 40, seed=0)
+    poi = models.ModelTemplate("poisson", np.ones(3), 40).simulate(0)
     assert poi.data.A.shape == (40, 3) and np.all(poi.data.Y >= 0)
-    gmm = models.simulate("gmm", np.array([0.0, 0.0, 5.0, 5.0]), 40, seed=0,
-                          weights=np.array([0.5, 0.5]),
-                          covariances=np.stack([np.eye(2)] * 2))
+    gmm = models.ModelTemplate("gmm", np.array([0.0, 0.0, 5.0, 5.0]), 40,
+                               weights=np.array([0.5, 0.5]),
+                               covariances=np.stack([np.eye(2)] * 2)).simulate(0)
     assert gmm.data.X.shape == (40, 2)
+
+
+def test_a_gmm_simulation_checks_its_mixture_once(monkeypatch):
+    template = models.ModelTemplate("gmm", np.array([1.0, 1.0, 4.0, 0.0]), 50,
+                                    weights=np.array([0.7, 0.3]),
+                                    covariances=np.stack([np.eye(2)] * 2))
+    calls = []
+    check = models.check_mixture
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(models, "check_mixture", counted)
+    template.simulate(0)
+    # by GmmData, which is also built from files; the template was checked
+    assert len(calls) == 1
 
 
 def test_simulate_rejects_bad_input():
     with pytest.raises(ConfigError):
-        models.simulate("unknown", np.ones(2), 10, seed=0)
+        models.ModelTemplate("unknown", np.ones(2), 10).simulate(0)
     with pytest.raises(ConfigError):
         # all-boundary Poisson truth gives zero rates
-        models.simulate("poisson", np.zeros(3), 10, seed=0)
+        models.ModelTemplate("poisson", np.zeros(3), 10).simulate(0)
 
 
 _GOOD_MODELS = {
@@ -271,9 +292,11 @@ def test_a_bad_model_is_refused_the_same_way_everywhere(tmp_path, capsys, case, 
         with pytest.raises(error, match=message):
             models.ModelTemplate(**fields)
     elif path == "simulate":
+        # simulate takes only a template, and one derived from a good
+        # template is checked again, so no bad model reaches it
+        good_template = models.ModelTemplate(**_GOOD_MODELS[good])
         with pytest.raises(error, match=message):
-            models.simulate(fields.pop("kind"), fields.pop("theta_star"),
-                            fields.pop("n"), 0, **fields)
+            models.simulate(dataclasses.replace(good_template, **change), 0)
     elif path == "load_model_config":
         with pytest.raises(error, match=message):
             io.load_model_config(config)
@@ -296,9 +319,8 @@ def test_a_bad_model_is_refused_the_same_way_everywhere(tmp_path, capsys, case, 
 def test_simulate_gmm_rejects_covariances_of_the_wrong_shape():
     theta_star = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
     with pytest.raises(ShapeError, match="covariances"):  # k=3 weights, 2 covariances
-        models.simulate("gmm", theta_star, 50, seed=0,
-                        weights=np.array([0.5, 0.3, 0.2]),
-                        covariances=np.stack([np.eye(2)] * 2))
+        models.ModelTemplate("gmm", theta_star, 50, weights=np.array([0.5, 0.3, 0.2]),
+                             covariances=np.stack([np.eye(2)] * 2))
 
 
 def _valid_data(kind):
@@ -331,7 +353,7 @@ def test_data_classes_reject_non_finite_input(kind, choice, position, bad):
 
 def test_simulate_rejects_non_finite_theta_star():
     with pytest.raises(ConfigError, match="finite"):
-        models.simulate("logistic", np.array([np.nan, 1.0, 0.0]), 10, seed=0)
+        models.ModelTemplate("logistic", np.array([np.nan, 1.0, 0.0]), 10).simulate(0)
 
 
 @pytest.mark.parametrize("fixture", ["logistic_model", "poisson_model"])
@@ -427,7 +449,7 @@ def test_posterior_grad_includes_prior(poisson_model):
 @given(seed=st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_logistic_loglik_concave_along_segments(seed):
-    model = models.simulate("logistic", np.array([1.0, 0.5]), 60, seed=3)
+    model = models.ModelTemplate("logistic", np.array([1.0, 0.5]), 60).simulate(3)
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0, 2, 2), rng.uniform(0, 2, 2)
     mid = 0.5 * (a + b)

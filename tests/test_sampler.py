@@ -323,7 +323,7 @@ def test_a_chain_on_the_box_face_is_in_the_good_set():
 def test_warm_start_distance_scales_like_sqrt_d():
     d = 200
     theta_star = np.full(d, 5.0)  # deep interior so projection rarely binds
-    model = models.simulate("logistic", theta_star, 10, seed=0)
+    model = models.ModelTemplate("logistic", theta_star, 10).simulate(0)
     dists = []
     for seed in range(20):
         config = sampler.SamplerConfig(step_size=1e-3, n_steps=1, seed=seed)
@@ -345,7 +345,7 @@ def test_run_trials_reduces_and_aggregates(monkeypatch, tmp_path):
 
     def config(n_trials, out_dir="out"):
         return experiments.ExperimentConfig(
-            preset="custom", model="logistic", d=5, n=50, n_trials=n_trials,
+            preset="asymptotic", model="logistic", d=5, n=50, n_trials=n_trials,
             n_steps=200, burn_in=100, sampler_step=1e-3,
             seed=9, out_dir=str(out_dir))
 
