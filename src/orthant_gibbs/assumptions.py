@@ -42,8 +42,8 @@ class RegionSpec(GoodSet):
             raise ConfigError("grid must be >= 1")
         if self.split.d0 > 0 and self.r0 <= 0:
             raise ConfigError("r0 must be positive when regular coordinates exist")
-        if self.split.d1 > 0 and self.r1 <= 0:
-            raise ConfigError("r1 must be positive when boundary coordinates exist")
+        if self.split.d1 > 0 and not 0 < self.r1 < math.inf:
+            raise ConfigError("r1 must be positive and finite when boundary coordinates exist")
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ def sample_region(region: RegionSpec, rng: np.random.Generator, size: int) -> np
         radii = region.r0 * rng.random(size) ** (1.0 / split.d0)
         out[:, split.S0] += radii[:, None] * z
     if split.d1 > 0:
-        out[:, split.S1] = rng.uniform(*region.box, (size, split.d1))
+        lo, hi = region.box
+        out[:, split.S1] = rng.uniform(lo[split.S1], hi[split.S1], (size, split.d1))
     return np.maximum(out, 0.0)
 
 

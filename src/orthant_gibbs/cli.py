@@ -142,6 +142,10 @@ def cmd_check(args) -> int:
           f"s2_hat={report.s2_hat:.6g}")
     print(f"osc_bound={report.osc_bound:.6g}  C_PI_bound={report.C_PI_bound:.6g}  "
           f"log10_C_PI_bound={report.log10_C_PI_bound:.6g}")
+    # the paper's n for good-set concentration; it needs both blocks
+    n_conc = (assumptions.concentration_sample_size(split.d0, split.d1, args.eps)
+              if split.d0 > 0 and split.d1 > 0 else "n/a")
+    print(f"n={model.n}  concentration_sample_size={n_conc}")
     failed = []  # a threshold on an empty block passes
     if args.min_c_s0 is not None and c_s0 is not None and c_s0 < args.min_c_s0:
         failed.append(f"c_S0_hat {c_s0:.6g} < {args.min_c_s0}")

@@ -1,6 +1,6 @@
 """Chain diagnostics: rank-normalized bulk ESS, credible intervals and
-coverage, bounded-expectation estimates, good-set mass, and a 1-D
-finite-difference spectral-gap oracle for reflected Langevin generators."""
+coverage, good-set mass, and a 1-D finite-difference spectral-gap oracle
+for reflected Langevin generators."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateChainError, NumericalError,
-                     RangeError, ShapeError)
+from .errors import ConfigError, DegenerateChainError, NumericalError, ShapeError
 from .geometry import GoodSet, contains_many
 
 ESS_CLIP_FACTOR = 1.5  # standard safeguard for antithetic chains
@@ -259,36 +258,14 @@ def interval_hits(samples, theta_star, level: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# expectations and good-set mass
+# good-set mass
 # ---------------------------------------------------------------------------
-
-
-def _chain_samples(chain) -> np.ndarray:
-    samples = getattr(chain, "samples", chain)
-    return np.atleast_2d(np.asarray(samples, dtype=float))
-
-
-def estimate_expectation(chain, f: Callable[[np.ndarray], float]
-                         ) -> tuple[float, float]:
-    """Sample mean of a [0,1]-valued function with an ESS-adjusted
-    Monte Carlo standard error."""
-    samples = _chain_samples(chain)
-    if samples.shape[0] == 0:
-        raise ConfigError("chain is empty")
-    vals = np.array([float(f(row)) for row in samples])
-    if np.any(vals < 0) or np.any(vals > 1):
-        raise RangeError("f must map into [0, 1]")
-    est = float(np.mean(vals))
-    if np.all(vals == vals[0]):
-        return est, 0.0
-    ess = bulk_ess(vals)
-    return est, float(math.sqrt(np.var(vals) / ess))
 
 
 def good_set_mass(chain, gs: GoodSet) -> float:
     """Monte Carlo estimate of the good-set posterior mass from an
-    orthant-projected chain."""
-    samples = _chain_samples(chain)
+    orthant-projected chain, or from its sample matrix."""
+    samples = getattr(chain, "samples", chain)
     return float(np.mean(contains_many(gs, samples)))
 
 

@@ -25,9 +25,5 @@ class DegenerateChainError(OrthantGibbsError):
     """A chain is constant (or otherwise degenerate) and cannot be diagnosed."""
 
 
-class RangeError(OrthantGibbsError):
-    """A function value left its contractual range."""
-
-
 class NumericalError(OrthantGibbsError):
     """A numerical routine (eigensolve, etc.) failed to converge."""

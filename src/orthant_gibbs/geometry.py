@@ -1,5 +1,6 @@
-"""Coordinate splitting, the ball-times-box neighborhood of the mode, and
-Euclidean projections onto the orthant and onto that neighborhood."""
+"""Coordinate splitting, the ball-times-box domain of a chain (the good set
+around the mode, or the whole orthant), its one projection and its one
+membership test."""
 
 from __future__ import annotations
 
@@ -71,8 +72,12 @@ def default_deltas(d1: int, eps: float = 0.05) -> tuple[float, float]:
 @dataclass(frozen=True)
 class GoodSet:
     """Product region B2(center_S0, r0) x Binf(center_S1, r1), intersected
-    with the orthant. The projection needs a finite, non-negative center and
-    radii; a set read from a file is checked like one built here."""
+    with the orthant: a closed ball on the regular coordinates, and a box on
+    every coordinate, [0, inf) on S0 and [max(c - r1, 0), c + r1] on S1.
+    The orthant itself is the set with no ball and r1 = inf (:meth:`orthant`).
+    The projection needs a finite, non-negative center, a finite r0 and
+    r1 >= 0; a set read from a file is checked like one built here, and its
+    r1 must be finite too."""
 
     center: np.ndarray
     split: CoordinateSplit
@@ -86,8 +91,15 @@ class GoodSet:
             raise ShapeError("center length does not match the split dimension")
         if not np.all(np.isfinite(center) & (center >= 0)):
             raise ConfigError("good-set center must be finite and non-negative")
-        if not (0 <= self.r0 < math.inf and 0 <= self.r1 < math.inf):
-            raise ConfigError(f"radii must be finite and >= 0, got r0={self.r0}, r1={self.r1}")
+        if not (0 <= self.r0 < math.inf and 0 <= self.r1 <= math.inf):
+            raise ConfigError(f"radii must be >= 0 and r0 finite, got r0={self.r0}, r1={self.r1}")
+
+    @staticmethod
+    def orthant(d: int) -> "GoodSet":
+        """The orthant [0, inf)^d: every coordinate a boundary one, no ball,
+        and a box radius of inf."""
+        return GoodSet(center=np.zeros(d), split=CoordinateSplit(S0=[], S1=np.arange(d)),
+                       r0=0.0, r1=math.inf)
 
     # computed once per set; the projection and the membership test read
     # both, and the Monte Carlo region reads the box
@@ -97,15 +109,23 @@ class GoodSet:
 
     @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """The box (lo, hi) on S1: [max(c - r1, 0), c + r1] per coordinate."""
+        """The box (lo, hi) as two length-d arrays: [0, inf) on S0, and
+        [max(c - r1, 0), c + r1] on S1, so the orthant's is [0, inf)^d."""
+        lo, hi = np.zeros(self.split.d), np.full(self.split.d, math.inf)
         c1 = self.center[self.split.S1]
-        return _read_only(np.maximum(c1 - self.r1, 0.0)), _read_only(c1 + self.r1)
+        lo[self.split.S1] = np.maximum(c1 - self.r1, 0.0)
+        hi[self.split.S1] = c1 + self.r1
+        return _read_only(lo), _read_only(hi)
 
     @staticmethod
     def from_json(obj: dict) -> "GoodSet":
-        """The set :meth:`save` wrote."""
+        """The set :meth:`save` wrote. Its radii are finite, as
+        :func:`build_good_set` makes them, and JSON has no infinity."""
+        r1 = float(obj["r1"])
+        if not math.isfinite(r1):
+            raise ConfigError(f"a saved good set has a finite r1, got r1={r1}")
         return GoodSet(center=obj["center"], split=CoordinateSplit(**obj["split"]),
-                       r0=float(obj["r0"]), r1=float(obj["r1"]))
+                       r0=float(obj["r0"]), r1=r1)
 
     def save(self, path) -> None:
         io.write_json(path, self)
@@ -159,52 +179,47 @@ def _l2(diff):
 
 def contains_many(gs: GoodSet, thetas) -> np.ndarray:
     """Closed-set membership of each row of a (rows x d) sample matrix, with
-    exact comparisons against the set's ball and box, the ones the projection
+    exact comparisons against the set's box and ball, the ones the projection
     maps onto; a row holding NaN is outside."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != gs.center.shape[0]:
         raise ShapeError("sample dimension does not match the good set")
-    ok = np.all(thetas >= 0, axis=1)
+    lo, hi = gs.box
+    ok = np.all((lo <= thetas) & (thetas <= hi), axis=1)
     if gs.split.d0 > 0:
         diff = thetas[:, gs.split.S0] - gs._ball_center
         ok &= np.array([_l2(row) for row in diff]) <= gs.r0
-    if gs.split.d1 > 0:
-        lo, hi = gs.box
-        block = thetas[:, gs.split.S1]
-        ok &= np.all((lo <= block) & (block <= hi), axis=1)
     return ok
-
-
-def project_orthant(theta) -> np.ndarray:
-    """Coordinate-wise max(theta, 0), as a new array."""
-    return np.maximum(np.asarray(theta, dtype=float), 0.0)
 
 
 def orthant_box(bounds, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A search box ``(lo, hi)`` clipped to the orthant. Points are drawn from it
     uniformly, so a NaN bound, an infinite ``hi`` or an empty box is refused."""
-    lo = project_orthant(bounds[0])
-    hi = np.asarray(bounds[1], dtype=float)
+    lo, hi = np.asarray(bounds[0], dtype=float), np.asarray(bounds[1], dtype=float)
     if lo.shape != (d,) or hi.shape != (d,):
         raise ShapeError(f"the bounding box must be two arrays of d={d} coordinates; "
                          f"got shapes {lo.shape} and {hi.shape}")
+    lo = project_good_set(GoodSet.orthant(d), lo)
     if not np.all((lo < hi) & np.isfinite(hi)):
         raise ConfigError("bounding box must be finite and non-empty")
     return lo, hi
 
 
 def project_good_set(gs: GoodSet, theta) -> np.ndarray:
-    """Exact Euclidean projection onto the good set, as a new array.
+    """A point of the set, as a new array: the S0 block scaled radially onto
+    the ball when it lies outside, then every coordinate clamped to the box.
+    On the orthant this is max(theta, 0).
 
-    The set is a product over the (S0, S1) blocks, so the joint projection is
-    the product of blockwise projections: radial scaling onto the ball for
-    S0, clamping to [max(c - r1, 0), c + r1] for each S1 coordinate. The
-    blocks cover every coordinate.
+    The result always passes :func:`contains_many`. It is the Euclidean
+    projection when the ball lies in the orthant (r0 <= min center_S0): the
+    set is then a product of the ball and the box, and each rule is that
+    block's nearest point. Otherwise the clamp at 0 can bind after the
+    scaling, and a point of the set may lie nearer: with center (1, 0.1) on
+    S0 and r0 = 1, (3, -10) maps to (1.194, 0), while (1.994, 0) is nearer.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != gs.center.shape:
         raise ShapeError("theta dimension does not match the good set")
-    out = np.empty_like(theta)
     if gs.split.d0 > 0:
         c0 = gs._ball_center
         v = theta[gs.split.S0] - c0
@@ -213,15 +228,12 @@ def project_good_set(gs: GoodSet, theta) -> np.ndarray:
             scale = gs.r0 / norm
             # rounding can leave the stored point an ulp outside the closed
             # ball that contains_many tests exactly; step the factor down until
-            # membership holds for the representation actually stored
-            cand = np.maximum(c0 + v * scale, 0.0)
-            while _l2(cand - c0) > gs.r0:
+            # the point the clamp at 0 (S0's box) then stores lies in it
+            while _l2(np.maximum(c0 + v * scale, 0.0) - c0) > gs.r0:
                 scale = np.nextafter(scale, 0.0)
-                cand = np.maximum(c0 + v * scale, 0.0)
-            out[gs.split.S0] = cand
-        else:
-            out[gs.split.S0] = np.maximum(c0 + v, 0.0)
-    if gs.split.d1 > 0:
-        lo, hi = gs.box
-        out[gs.split.S1] = np.minimum(np.maximum(theta[gs.split.S1], lo), hi)
-    return out
+            v = v * scale
+        theta = theta.copy()
+        theta[gs.split.S0] = c0 + v
+    lo, hi = gs.box
+    out = np.maximum(theta, lo)
+    return np.minimum(out, hi, out=out)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, DomainError, NonFiniteError
-from .geometry import orthant_box, project_orthant
+from .geometry import GoodSet, orthant_box, project_good_set
 from .rng import make_rng
 
 ARMIJO = 1e-4
@@ -60,7 +60,9 @@ def maximize_projected(fun: Callable, grad: Callable, x0, *,
     """
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
-    x = project_orthant(np.asarray(x0, dtype=float))
+    x = np.asarray(x0, dtype=float)
+    orthant = GoodSet.orthant(x.size)
+    x = project_good_set(orthant, x)
     f = _safe_value(fun, x)
     if not math.isfinite(f):
         raise NonFiniteError("objective is non-finite at the (projected) initial point")
@@ -70,14 +72,14 @@ def maximize_projected(fun: Callable, grad: Callable, x0, *,
         g = np.asarray(grad(x), dtype=float)
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"gradient non-finite at iteration {it}")
-        residual = float(np.linalg.norm(x - project_orthant(x + g)))
+        residual = float(np.linalg.norm(x - project_good_set(orthant, x + g)))
         if residual <= tol:
             return ModeResult(theta_hat=x, objective=f, grad_norm=residual,
                               iterations=it - 1, converged=True)
         # try growing the last accepted step so the ascent is not stuck small
         alpha = min(alpha / BACKTRACK, 1e8)
         while True:
-            x_new = project_orthant(x + alpha * g)
+            x_new = project_good_set(orthant, x + alpha * g)
             f_new = _safe_value(fun, x_new)
             if f_new >= f + ARMIJO * float(g @ (x_new - x)):
                 break

@@ -1,9 +1,13 @@
 """Projected Langevin Monte Carlo.
 
-One step is the unadjusted Euler-Maruyama update followed by a Euclidean
-projection P:
+One step is the unadjusted Euler-Maruyama update followed by the projection
+P onto the chain's domain, a ``geometry.GoodSet``:
 
     x <- P(x + h * grad_log_density(x) + xi),    xi ~ N(0, 2h I).
+
+The domain is the orthant (no ball and the box [0, inf) on every
+coordinate, where P is max(x, 0)) or a good set around a mode; one
+projection and one membership test serve both.
 
 The target is anything with ``value``, ``grad``, ``value_and_grad`` and
 ``d``, such as a ``models.ModelInstance``, whose log density is the
@@ -21,13 +25,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import io
 from .errors import ConfigError, NonFiniteError, ShapeError
-from .geometry import GoodSet, contains_many, project_good_set, project_orthant
+from .geometry import GoodSet, contains_many, project_good_set
 from .rng import make_rng
 
 
@@ -53,14 +56,12 @@ class SamplerConfig:
         if self.init is not None:
             object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
-    def projector(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The projection as a function of the point alone. The projections
-        are looked up in this module, so a wrapper installed here before a
-        chain starts sees every call."""
+    def domain(self, d: int) -> GoodSet:
+        """The set the chain lives in: the configured good set, or for
+        ``"orthant"`` the orthant of R^d."""
         if isinstance(self.projection, GoodSet):
-            gs = self.projection
-            return lambda x: project_good_set(gs, x)
-        return project_orthant
+            return self.projection
+        return GoodSet.orthant(d)
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,19 @@ class Chain:
         self._write_meta(path)
 
 
-def plmc_step(x: np.ndarray, drift, h: float, xi: np.ndarray,
-              projection: Callable[[np.ndarray], np.ndarray] = project_orthant
+def plmc_step(x: np.ndarray, drift, h: float, xi: np.ndarray, domain: GoodSet
               ) -> np.ndarray:
     """One projected Langevin step from ``x`` with the drift already taken
-    there: projection(x + h * drift + xi), with ``xi`` the step's
-    N(0, 2h I) increment. No argument is written to."""
+    there: the projection of x + h * drift + xi onto ``domain``, with ``xi``
+    the step's N(0, 2h I) increment. No argument is written to."""
     drift = np.asarray(drift, dtype=float)
     # a NaN or inf entry makes drift . drift non-finite, and so can finite
     # entries above 1e154; the exact test runs only then
     if not math.isfinite(drift @ drift) and not np.isfinite(drift).all():
         raise NonFiniteError("non-finite drift")
-    return projection(x + h * drift + xi)
+    # looked up in this module at call time, so a wrapper installed here
+    # before a chain starts sees every projection
+    return project_good_set(domain, x + h * drift + xi)
 
 
 # Normal draws per block of a chain's noise: 64 KB, 40 steps at d = 200
@@ -120,13 +122,16 @@ _NOISE_BLOCK = 8192
 
 
 def _initial_state(target, config: SamplerConfig, rng: np.random.Generator,
-                   project) -> np.ndarray:
+                   domain: GoodSet) -> np.ndarray:
     if config.init is not None:
-        return project(config.init)
-    theta_star = getattr(target, "theta_star", None)
-    if theta_star is not None:
-        return project(theta_star + rng.standard_normal(theta_star.size))
-    raise ConfigError("no explicit init and no theta_star available for a warm start")
+        start = config.init
+    elif getattr(target, "theta_star", None) is not None:
+        start = target.theta_star + rng.standard_normal(target.theta_star.size)
+    else:
+        raise ConfigError("no explicit init and no theta_star available for a warm start")
+    if start.shape != (target.d,):
+        raise ShapeError(f"init has shape {start.shape}, expected ({target.d},)")
+    return project_good_set(domain, start)
 
 
 def run_chain(target, config: SamplerConfig) -> Chain:
@@ -139,11 +144,9 @@ def run_chain(target, config: SamplerConfig) -> Chain:
     draw is bitwise the ``rows`` draws of (d,) it stands for, and each step
     takes one row as its increment.
     """
-    project = config.projector()
+    domain = config.domain(target.d)
     rng = make_rng(config.seed, 0x10)
-    x = _initial_state(target, config, rng, project)
-    if x.shape != (target.d,):
-        raise ShapeError(f"init has shape {x.shape}, expected ({target.d},)")
+    x = _initial_state(target, config, rng, domain)
 
     kept = -(-(config.n_steps - config.burn_in) // config.thin)
     samples = np.empty((kept, target.d))
@@ -162,7 +165,7 @@ def run_chain(target, config: SamplerConfig) -> Chain:
         else:
             drift = target.grad(x)
         try:
-            x = plmc_step(x, drift, h, xi[k % per_block], project)
+            x = plmc_step(x, drift, h, xi[k % per_block], domain)
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at step {k}") from None
         x_kept = k >= config.burn_in and (k - config.burn_in) % config.thin == 0
@@ -177,7 +180,5 @@ def run_chain(target, config: SamplerConfig) -> Chain:
 
 
 def check_membership(chain: Chain) -> bool:
-    """True iff every kept sample lies in the configured projection set."""
-    if isinstance(chain.config.projection, GoodSet):
-        return bool(np.all(contains_many(chain.config.projection, chain.samples)))
-    return bool(np.all(chain.samples >= 0))
+    """True iff every kept sample lies in the chain's domain."""
+    return bool(np.all(contains_many(chain.config.domain(chain.d), chain.samples)))

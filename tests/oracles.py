@@ -6,6 +6,7 @@ tensorization checks, and closed-form moments where they exist.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -102,6 +103,57 @@ def gmm_explicit(X, weights, covariances, mu):
 def truncated_exponential_mean(rate, L):
     """Mean of Exp(rate) restricted to [0, L]."""
     return 1.0 / rate - L / np.expm1(rate * L)
+
+
+@dataclass(frozen=True)
+class ProductTarget:
+    """A product law on the orthant with closed-form marginal means, the
+    paper's picture inside the good set with no coupling: truncated
+    Gaussians N(mu, 1/(n c_j)) on the first d0 coordinates, then exponentials
+    of rate n lambda_j. The log density is
+    -n sum c_j (x_j - mu)^2 / 2 - n sum lambda_j x_j, and its gradient needs
+    no data."""
+
+    n: int
+    curvature: np.ndarray  # c_j on the Gaussian block
+    rate: np.ndarray  # lambda_j on the exponential block
+    mu: float = 1.0
+
+    @property
+    def d0(self) -> int:
+        return self.curvature.size
+
+    @property
+    def d(self) -> int:
+        return self.d0 + self.rate.size
+
+    def value(self, x):
+        g, e = x[:self.d0], x[self.d0:]
+        return float(-0.5 * self.n * np.sum(self.curvature * (g - self.mu) ** 2)
+                     - self.n * np.sum(self.rate * e))
+
+    def grad(self, x):
+        return np.concatenate([-self.n * self.curvature * (x[:self.d0] - self.mu),
+                               -self.n * self.rate])
+
+    def value_and_grad(self, x):
+        return self.value(x), self.grad(x)
+
+    def means(self) -> np.ndarray:
+        """mu + sigma phi(alpha) / (1 - Phi(alpha)) with alpha = -mu / sigma
+        on the Gaussian block, and 1 / (n lambda_j) on the exponential one."""
+        sigma = 1.0 / np.sqrt(self.n * self.curvature)
+        alpha = -self.mu / sigma
+        return np.concatenate([self.mu + sigma * norm.pdf(alpha) / norm.sf(alpha),
+                               1.0 / (self.n * self.rate)])
+
+
+def pre_asymptotic_product_target() -> ProductTarget:
+    """The product law at the pre_asymptotic shape: n = 800, 97 Gaussians at
+    mu = 1 with c_j from 0.02 to 0.3, and 103 exponentials with lambda_j
+    from 0.01 to 0.08."""
+    return ProductTarget(n=800, curvature=np.linspace(0.02, 0.3, 97),
+                         rate=np.linspace(0.01, 0.08, 103))
 
 
 def ar1_chain(rho, n, seed):

@@ -361,6 +361,22 @@ def test_an_empty_block_has_a_null_constant_and_passes_its_threshold(
     assert all(report[key] is not None for key in report if key != empty)
 
 
+@pytest.mark.parametrize("theta_hat,size", [
+    ([1.0, 0.5, 0.0], assumptions.concentration_sample_size(2, 1, 0.05)),
+    ([1.0, 1.0, 1.0], "n/a"),
+    ([0.0, 0.0, 0.0], "n/a"),
+], ids=["both_blocks", "no_boundary_coordinate", "no_regular_coordinate"])
+def test_check_prints_the_concentration_sample_size_beside_n(tmp_path, sim_dir, capsys,
+                                                             theta_hat, size):
+    # the paper's sample size for good-set concentration needs both blocks
+    mode_path, out = tmp_path / "mode.json", tmp_path / "check.json"
+    mode_path.write_text(json.dumps({"theta_hat": theta_hat}))
+    assert run(["check", "--model-config", sim_dir / "model.json", "--mode-result",
+                mode_path, "--grid", 10, "--out", out]) == 0
+    assert f"n=300  concentration_sample_size={size}\n" in capsys.readouterr().out
+    assert "concentration" not in out.read_text()
+
+
 def test_mode_bounds_select_the_search_in_that_box(tmp_path, sim_dir):
     # a box given to a logistic mode runs the multi-start search in it, as
     # with --global; without one, mode runs one ascent from the truth
@@ -394,6 +410,22 @@ def test_mode_bounds_of_the_wrong_length_exit_2_naming_the_box(tmp_path, sim_dir
     err = capsys.readouterr().err
     assert "bounding box" in err and "d=3" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("radius,value", [("r0", -0.5), ("r0", float("nan")),
+                                          ("r0", float("inf")), ("r1", -0.1),
+                                          ("r1", float("nan")), ("r1", float("inf"))])
+def test_sample_refuses_a_good_set_file_with_a_bad_radius(tmp_path, sim_dir, capsys,
+                                                          radius, value):
+    # json writes NaN and Infinity, and reads them back
+    good_path, chain_path = tmp_path / "good_set.json", tmp_path / "c.csv"
+    good_path.write_text(json.dumps({"center": [1.0, 1.0, 0.0],
+                                     "split": {"S0": [0, 1], "S1": [2]},
+                                     "r0": 0.2, "r1": 0.01, radius: value}))
+    assert run(["sample", "--model-config", sim_dir / "model.json", "--step", 1e-3,
+                "--steps", 10, "--good-set", good_path, "--out", chain_path]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not chain_path.exists()
 
 
 def test_files_in_the_earlier_layout_exit_2_naming_the_missing_key(tmp_path, sim_dir,

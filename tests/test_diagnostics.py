@@ -8,8 +8,7 @@ from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from orthant_gibbs import diagnostics, geometry, io
-from orthant_gibbs.errors import (ConfigError, DegenerateChainError, NumericalError,
-                                  RangeError, ShapeError)
+from orthant_gibbs.errors import ConfigError, DegenerateChainError, NumericalError, ShapeError
 
 from oracles import (ar1_chain, bulk_ess_reference, dense_gap_1d,
                      truncated_exponential_mean)
@@ -230,19 +229,6 @@ def test_interval_hits_matches_per_column_intervals():
 def test_interval_hits_rejects_bad_input(samples, level, error):
     with pytest.raises(error):
         diagnostics.interval_hits(samples, np.zeros(2), level)
-
-
-def test_estimate_expectation_bounds_and_error_bar():
-    rng = np.random.default_rng(7)
-    samples = rng.uniform(0, 1, (5000, 1))
-    est, se = diagnostics.estimate_expectation(samples,
-                                               lambda x: float(x[0] < 0.25))
-    assert est == pytest.approx(0.25, abs=0.03)
-    assert 0 < se < 0.05
-    est, se = diagnostics.estimate_expectation(samples, lambda x: 1.0)
-    assert est == 1.0 and se == 0.0
-    with pytest.raises(RangeError):
-        diagnostics.estimate_expectation(samples, lambda x: 2.0)
 
 
 def test_good_set_mass_on_synthetic_samples():

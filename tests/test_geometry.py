@@ -144,8 +144,10 @@ def test_good_set_json_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("change", [{"center": [-3.0, 0.0]}, {"center": [np.nan, 0.0]},
-                                    {"r0": -0.5}, {"r0": np.nan}, {"r0": np.inf}],
-                         ids=["center-3", "center-nan", "r0-0.5", "r0-nan", "r0-inf"])
+                                    {"r0": -0.5}, {"r0": np.nan}, {"r0": np.inf},
+                                    {"r1": -0.1}, {"r1": np.nan}],
+                         ids=["center-3", "center-nan", "r0-0.5", "r0-nan", "r0-inf",
+                              "r1-0.1", "r1-nan"])
 def test_good_set_rejects_a_bad_center_or_radius(change):
     # the ball projection steps its scale down until the point lies in the
     # ball; with a negative radius, or a center the orthant clamp keeps it
@@ -163,10 +165,11 @@ def test_good_set_rejects_a_bad_center_or_radius(change):
                   elements=st.floats(-10, 10, allow_nan=False)))
 @settings(max_examples=100, deadline=None)
 def test_project_orthant_properties(theta):
-    proj = geometry.project_orthant(theta)
-    assert np.all(proj >= 0)
+    orthant = geometry.GoodSet.orthant(theta.size)
+    proj = geometry.project_good_set(orthant, theta)
+    assert np.all(proj >= 0) and geometry.contains_many(orthant, proj).all()
     # idempotent and a true Euclidean projection (coordinate-wise max)
-    np.testing.assert_array_equal(geometry.project_orthant(proj), proj)
+    np.testing.assert_array_equal(geometry.project_good_set(orthant, proj), proj)
     np.testing.assert_array_equal(proj, np.maximum(theta, 0.0))
 
 
@@ -214,3 +217,90 @@ def test_project_good_set_fixes_members():
     theta[gs.split.S0] += gs.r0 / 3.0
     theta[gs.split.S1] = gs.r1 / 2.0
     np.testing.assert_allclose(geometry.project_good_set(gs, theta), theta)
+
+
+def test_the_orthant_is_a_good_set_with_no_ball():
+    orthant = geometry.GoodSet.orthant(4)
+    assert orthant.split.d0 == 0 and orthant.r1 == np.inf
+    lo, hi = orthant.box
+    np.testing.assert_array_equal(lo, np.zeros(4))
+    np.testing.assert_array_equal(hi, np.full(4, np.inf))
+    # the projection is max(theta, 0) to the bit, -0.0 and NaN included
+    theta = np.array([-0.0, np.nan, -np.inf, np.inf, 2.5, -3.0, 0.0, 1e-300])
+    orthant = geometry.GoodSet.orthant(theta.size)
+    proj = geometry.project_good_set(orthant, theta)
+    assert proj.tobytes() == np.maximum(theta, 0.0).tobytes()
+    # membership is non-negativity; a NaN is outside
+    rows = np.array([theta, np.abs(theta), np.nan_to_num(np.abs(theta))])
+    np.testing.assert_array_equal(geometry.contains_many(orthant, rows),
+                                  np.all(rows >= 0, axis=1))
+
+
+def test_a_saved_good_set_has_a_finite_r1():
+    # the orthant's box radius is inf, but build_good_set never makes one, so
+    # a file that holds one is refused as one with a NaN or negative radius is
+    doc = {"center": [1.0, 0.0], "split": {"S0": [0], "S1": [1]}, "r0": 0.5, "r1": np.inf}
+    with pytest.raises(ConfigError, match="r1"):
+        geometry.GoodSet.from_json(doc)
+
+
+def _disc_in_the_orthant(c0, r0):
+    """A polar grid of the disc |x - c0| <= r0 in 2 dimensions, with its
+    points outside the orthant dropped; its spacing is below 5e-3 * r0."""
+    radii = np.linspace(0.0, r0, 401)[:, None]
+    angles = np.linspace(0.0, 2 * np.pi, 1441)[None, :]
+    disc = np.stack([(c0[0] + radii * np.cos(angles)).ravel(),
+                     (c0[1] + radii * np.sin(angles)).ravel()], axis=1)
+    return disc[np.all(disc >= 0, axis=1)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_projection_is_the_nearest_point_when_the_ball_lies_in_the_orthant(seed):
+    # r0 <= min center_S0: the clamp at 0 cannot bind after the scaling
+    rng = np.random.default_rng(seed)
+    c0 = rng.uniform(0.5, 2.0, 2)
+    gs = geometry.GoodSet(center=[*c0, rng.uniform(0.0, 1.0)],
+                          split=geometry.CoordinateSplit(S0=[0, 1], S1=[2]),
+                          r0=rng.uniform(0.1, 1.0) * c0.min(), r1=rng.uniform(0.01, 0.5))
+    disc = _disc_in_the_orthant(c0, gs.r0)
+    lo, hi = gs.box
+    interval = np.linspace(lo[2], hi[2], 2001)
+    for theta in gs.center + rng.uniform(-3.0, 3.0, (4, 3)):
+        proj = geometry.project_good_set(gs, theta)
+        assert contains(gs, proj)
+        exact = np.sum((proj - theta) ** 2)
+        # brute force over grid points of the set: the squared distance is a
+        # sum over the two blocks, so each block's nearest point is found alone
+        grid = (np.min(np.sum((disc - theta[:2]) ** 2, axis=1))
+                + np.min((interval - theta[2]) ** 2))
+        # no grid point is nearer than the nearest point, and the grid comes
+        # within its spacing of it
+        gap = 5e-3 * gs.r0
+        assert exact <= grid + 1e-12
+        assert grid <= exact + 2 * np.sqrt(exact) * gap + gap ** 2
+
+
+def test_the_projection_is_not_the_nearest_point_when_the_clamp_binds():
+    # the ball crosses the orthant's face: scaling then clamping lands on
+    # the face, but not at the face's nearest point
+    gs = geometry.GoodSet(center=[1.0, 0.1], split=geometry.CoordinateSplit(S0=[0, 1], S1=[]),
+                          r0=1.0, r1=0.0)
+    theta = np.array([3.0, -10.0])
+    proj = geometry.project_good_set(gs, theta)
+    np.testing.assert_allclose(proj, [1.194, 0.0], atol=1e-3)
+    nearer = np.array([1.994, 0.0])
+    assert contains(gs, proj) and contains(gs, nearer)
+    assert np.sum((proj - theta) ** 2) == pytest.approx(103.26, abs=0.01)
+    assert np.sum((nearer - theta) ** 2) == pytest.approx(101.01, abs=0.01)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_the_projection_lands_in_a_set_whose_ball_crosses_the_orthant(seed):
+    rng = np.random.default_rng(seed)
+    center = np.concatenate([rng.uniform(0.0, 0.05, 3), rng.uniform(0.0, 0.2, 2)])
+    gs = geometry.GoodSet(center=center, split=geometry.CoordinateSplit(S0=[0, 1, 2], S1=[3, 4]),
+                          r0=rng.uniform(0.1, 2.0), r1=rng.uniform(0.01, 0.5))
+    thetas = center + rng.uniform(-5.0, 5.0, (200, 5))
+    proj = np.array([geometry.project_good_set(gs, t) for t in thetas])
+    assert geometry.contains_many(gs, proj).all()

@@ -11,7 +11,8 @@ from orthant_gibbs import diagnostics, experiments, geometry, io, models, sample
 from orthant_gibbs.errors import ConfigError, NonFiniteError
 from orthant_gibbs.rng import make_rng
 
-from oracles import run_chain_reference, truncated_exponential_mean
+from oracles import (pre_asymptotic_product_target, run_chain_reference,
+                     truncated_exponential_mean)
 
 
 @dataclass(frozen=True)
@@ -50,18 +51,19 @@ def test_config_validation():
 def test_plmc_step_deterministic_limb():
     target = gaussian_target([2.0, 2.0])
     x = np.array([1.0, 1.0])
-    out = sampler.plmc_step(x, target.grad(x), 0.25, np.zeros(2))
+    orthant = geometry.GoodSet.orthant(2)
+    out = sampler.plmc_step(x, target.grad(x), 0.25, np.zeros(2), orthant)
     np.testing.assert_allclose(out, x + 0.25 * (np.array([2.0, 2.0]) - x))
     # zero drift at the mode: the step is the identity for interior points
     mode = np.array([2.0, 2.0])
-    out = sampler.plmc_step(mode, target.grad(mode), 0.25, np.zeros(2))
+    out = sampler.plmc_step(mode, target.grad(mode), 0.25, np.zeros(2), orthant)
     np.testing.assert_allclose(out, [2.0, 2.0])
 
 
 def test_plmc_step_projects():
     target = gaussian_target([-5.0, 2.0])
     x = np.array([0.1, 2.0])
-    out = sampler.plmc_step(x, target.grad(x), 1.0, np.zeros(2))
+    out = sampler.plmc_step(x, target.grad(x), 1.0, np.zeros(2), geometry.GoodSet.orthant(2))
     assert out[0] == 0.0  # clamped by the orthant projection
 
 
@@ -70,7 +72,7 @@ def test_plmc_step_rejects_nonfinite_drift():
                  grad=lambda x: np.array([np.nan]), d=1)
     with pytest.raises(NonFiniteError):
         sampler.plmc_step(np.array([1.0]), bad.grad(np.array([1.0])), 0.1,
-                          np.zeros(1))
+                          np.zeros(1), geometry.GoodSet.orthant(1))
 
 
 def test_run_chain_is_a_loop_of_plmc_step():
@@ -85,7 +87,8 @@ def test_run_chain_is_a_loop_of_plmc_step():
     kept = []
     for k in range(config.n_steps):
         x = sampler.plmc_step(x, target.grad(x), h,
-                              math.sqrt(2 * h) * rng.standard_normal(3))
+                              math.sqrt(2 * h) * rng.standard_normal(3),
+                              geometry.GoodSet.orthant(3))
         if k >= config.burn_in and (k - config.burn_in) % config.thin == 0:
             kept.append(x)
     assert np.array_equal(chain.samples, np.array(kept))
@@ -96,15 +99,15 @@ def test_a_step_and_the_projections_write_to_no_argument():
     gs = geometry.GoodSet(center=[1.0, 0.0],
                           split=geometry.CoordinateSplit(S0=[0], S1=[1]),
                           r0=0.5, r1=0.1)
+    orthant = sampler.SamplerConfig(step_size=0.1, n_steps=1).domain(2)
     x, drift, xi = np.array([0.2, 0.3]), np.array([-4.0, 2.0]), np.array([-0.5, -0.1])
-    args = (x, drift, xi, gs.center)
+    args = (x, drift, xi, gs.center, *gs.box, *orthant.box)
     before = [a.copy() for a in args]
     step = x + 0.1 * drift + xi  # [-0.7, 0.4]: both projections bind
-    project = sampler.SamplerConfig(step_size=0.1, n_steps=1, projection=gs).projector()
     results = [
-        (sampler.plmc_step(x, drift, 0.1, xi), [0.0, 0.4]),
-        (sampler.plmc_step(x, drift, 0.1, xi, project), [0.5, 0.1]),
-        (geometry.project_orthant(step), [0.0, 0.4]),
+        (sampler.plmc_step(x, drift, 0.1, xi, orthant), [0.0, 0.4]),
+        (sampler.plmc_step(x, drift, 0.1, xi, gs), [0.5, 0.1]),
+        (geometry.project_good_set(orthant, step), [0.0, 0.4]),
         (geometry.project_good_set(gs, step), [0.5, 0.1]),
     ]
     for result, expected in results:
@@ -291,6 +294,29 @@ def test_run_chain_truncated_exponential_mean():
     assert abs(kept.mean() - truth) / truth < 0.1
 
 
+def test_the_default_chain_on_the_product_target_at_the_study_step():
+    # the logistic study's step 0.5/n on the pre_asymptotic product law: the
+    # Gaussian block's means are right to Monte Carlo error (the Euler chain
+    # keeps a Gaussian's mean), and the exponential block's bias is printed
+    target = pre_asymptotic_product_target()
+    exact = target.means()
+    config = sampler.SamplerConfig(step_size=0.5 / target.n, n_steps=100_000,
+                                   burn_in=1000, init=exact, seed=0, thin=20)
+    chain = sampler.run_chain(target, config)
+    gauss, expo = chain.samples[:, :target.d0], chain.samples[:, target.d0:]
+    ess = diagnostics.ess_report([gauss], [chain.log_posterior]).per_coordinate
+    mcse = gauss.std(axis=0) / np.sqrt(ess)
+    z = (gauss.mean(axis=0) - exact[:target.d0]) / mcse
+    ratio = expo.mean(axis=0) / exact[target.d0:]
+    print(f"product target at h = 0.5/n: Gaussian block max |z| {np.abs(z).max():.2f}; "
+          f"exponential block mean / exact {ratio.min():.3f} to {ratio.max():.3f}, "
+          f"median {np.median(ratio):.3f}, max |bias| {np.abs(ratio - 1).max():.3f}, "
+          f"{np.mean(expo == 0):.0%} of draws at 0")
+    assert np.all(np.abs(z) <= 4.0)
+    # the projected chain's atom at 0 pulls every boundary mean down
+    assert np.all(ratio < 1.0) and np.median(ratio) < 0.6
+
+
 def test_run_chain_good_set_projection_membership():
     theta_hat = np.array([1.0, 1.5, 0.0])
     split, center = geometry.split_coordinates(theta_hat, 1e-6)
@@ -328,7 +354,7 @@ def test_warm_start_distance_scales_like_sqrt_d():
     for seed in range(20):
         config = sampler.SamplerConfig(step_size=1e-3, n_steps=1, seed=seed)
         rng = make_rng(config.seed, 0x10)
-        x0 = sampler._initial_state(model, config, rng, config.projector())
+        x0 = sampler._initial_state(model, config, rng, config.domain(d))
         dists.append(np.linalg.norm(x0 - theta_star))
     mean = np.mean(dists)
     assert 0.8 * np.sqrt(d) <= mean <= 1.2 * np.sqrt(d)
